@@ -51,44 +51,38 @@ grep -q '"fleet::sim::run_fleet" -> "serve::engine::ServeEngine::run"' \
 grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::Run::step_all"' \
     target/callgraph.a.dot
 
-echo "== bench smoke (repro bench --quick, once per kernel) =="
-# Quick measured sweep into a scratch file, once per vector-tier filter:
-# exercises the wall-clock harness end to end — including the warm+cold
-# artifact-cache pair and the SIMD/QuickScorer kernels — and
-# self-validates the JSON it writes (schema_version >= 3, chosen kernel
-# per cell, cache block with hits >= 1 and cold >= warm).
-for k in auto blocked simd quickscorer; do
-    cargo run --release -q -p mlscore-bench --bin repro -- \
-        bench --quick --kernel "$k" \
-        --out "target/BENCH_cpu_scoring.quick.$k.json" \
-        | tee "target/bench_smoke.$k.log"
-    cargo run --release -q -p mlscore-bench --bin repro -- \
-        bench --check "target/BENCH_cpu_scoring.quick.$k.json"
-    # Every cell must print the cost model's pick.
-    grep -q 'kernel pick: ' "target/bench_smoke.$k.log"
-done
-# Forced runs must say so on the pick line.
-grep -q '\[forced: simd\]' target/bench_smoke.simd.log
-# The quick runs above also exercise the fused-vs-staged shmoo: --check
-# has already enforced (schema v4) that every fused cell is bit-exact and
-# that the per-chunk handoff eliminates >= 80% of the staged marshal +
+echo "== bench smoke (repro bench --quick) =="
+# Quick measured sweep into a scratch file: exercises the wall-clock
+# harness end to end — including the warm+cold artifact-cache pair and
+# both executor kernels — and self-validates the JSON it writes
+# (schema_version >= 5, cache block with hits >= 1 and cold >= warm, no
+# run wider than the host).
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --quick --out target/BENCH_cpu_scoring.quick.json \
+    | tee target/bench_smoke.log
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --check target/BENCH_cpu_scoring.quick.json
+# The quick run above also exercises the fused-vs-staged shmoo: --check
+# has already enforced that every fused cell is bit-exact and that the
+# per-chunk handoff eliminates >= 80% of the staged marshal +
 # pre-processing tax. Assert the block actually made it into the output.
-grep -q '"fused"' target/BENCH_cpu_scoring.quick.auto.json
-grep -q '"eliminated_frac"' target/BENCH_cpu_scoring.quick.auto.json
+grep -q '"fused"' target/BENCH_cpu_scoring.quick.json
+grep -q '"eliminated_frac"' target/BENCH_cpu_scoring.quick.json
 # The committed trajectory must stay parseable, non-empty, and carry a
-# valid cache-stats block, per-cell kernel picks, and the fused shmoo.
+# valid cache-stats block, per-run SIMD walker throughput, and the fused
+# shmoo.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --check BENCH_cpu_scoring.json
-grep -q '"chosen_kernel"' BENCH_cpu_scoring.json
+grep -q '"simd_records_per_sec"' BENCH_cpu_scoring.json
 grep -q '"fused"' BENCH_cpu_scoring.json
 # Regression diff self-check: a report diffed against itself is clean, so
-# the gate only ever fires on real throughput loss. The quick auto run
-# diffed against itself additionally covers the per-metric v4 cells.
+# the gate only ever fires on real throughput loss. The quick run diffed
+# against itself additionally covers the per-metric v5 cells.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --diff BENCH_cpu_scoring.json BENCH_cpu_scoring.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
-    bench --diff target/BENCH_cpu_scoring.quick.auto.json \
-                 target/BENCH_cpu_scoring.quick.auto.json
+    bench --diff target/BENCH_cpu_scoring.quick.json \
+                 target/BENCH_cpu_scoring.quick.json
 
 echo "== serve smoke (repro serve --quick) =="
 # Quick load sweep through the discrete-event serving engine into a scratch

@@ -479,9 +479,9 @@ mod tests {
 
     #[test]
     fn h001_fires_on_alloc_in_bitvector_scoring_loop() {
-        // A fixture shaped like the QuickScorer kernel's per-record mask
-        // loop: allocating the bitvector scratch inside the hot region is
-        // exactly the per-record-cost regression H001 exists to catch.
+        // A fixture shaped like a bitvector scoring kernel's per-record
+        // mask loop: allocating the bitvector scratch inside the hot region
+        // is exactly the per-record-cost regression H001 exists to catch.
         const EXEC: &str = "crates/exec/src/fixture.rs";
         let bad = "// analyze: hot\n\
                    fn qs_classify_block(rows: Range<usize>) {\n  \
@@ -494,8 +494,8 @@ mod tests {
             findings.iter().any(|f| f.lint == "H001"),
             "alloc in bitvector loop must fire H001: {findings:?}"
         );
-        // The shipped kernel's shape — thread-local scratch cleared and
-        // resized per block — stays clean.
+        // The blessed shape — thread-local scratch cleared and resized per
+        // block — stays clean.
         let good = "// analyze: hot\n\
                     fn qs_classify_block(rows: Range<usize>, s: &mut Scratch) {\n  \
                     for row in rows {\n    \

@@ -1,8 +1,8 @@
 //! The ONNX-runtime-like CPU backend ("CPU_ONNX" / "CPU_ONNX_52th").
 //!
 //! Functionally, this engine first compiles the forest into the Fig. 4b
-//! flat layout and scores it with the blocked lockstep kernel on the shared
-//! work-stealing [`ExecPool`] — the same image the FPGA consumes. Its
+//! flat layout — the same image the FPGA consumes — and scores it with the
+//! explicit-SIMD lane walker on the shared work-stealing [`ExecPool`]. Its
 //! timing model captures the paper's observation that ONNX "is not
 //! currently optimized for batch scoring": the per-call overhead is small
 //! (it wins below ~5K records), but the per-record cost is higher than
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_exec::{score_auto_batch, score_stream, ExecPool, FlatImage, KernelChoice, RunConfig};
+use mlscore_exec::{score_auto_batch, score_stream, ExecPool, FlatImage, RunConfig};
 use mlscore_forest::{ModelStats, Predictions, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -147,7 +147,7 @@ impl ScoringBackend for OnnxCpu {
         &self.name
     }
 
-    // Lowering compiles the forest into the pre-decoded flat image once;
+    // Lowering compiles the forest into the heap-encoded flat image once;
     // the untraced and traced score paths both consume it (the seed built
     // the image separately in each, doubling the compile on traced runs).
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
@@ -162,9 +162,6 @@ impl ScoringBackend for OnnxCpu {
         frame: &TabularFrame,
     ) -> Result<Predictions, BackendError> {
         let image = self.image_of(lowered)?;
-        // The cost model dispatches to whichever CPU kernel tier (blocked /
-        // SIMD walk / QuickScorer) is fastest for this shape and batch; all
-        // tiers are bit-exact, so this is a pure throughput decision.
         let (preds, _, _) = score_auto_batch(
             image,
             frame,
@@ -193,9 +190,9 @@ impl ScoringBackend for OnnxCpu {
         Ok(preds)
     }
 
-    // The fused path scores straight off the scanner: each pulled chunk is
-    // dispatched to whichever kernel tier the cost model re-ranks for that
-    // chunk's row count, with no whole-batch materialization in between.
+    // The fused path scores straight off the scanner: each pulled chunk
+    // goes to the SIMD walker, with no whole-batch materialization in
+    // between.
     fn score_prepared_stream(
         &self,
         model: &CompiledModel,
@@ -213,18 +210,11 @@ impl ScoringBackend for OnnxCpu {
             predictions,
             rows: report.rows(),
             chunks: report
-                .chunks()
+                .chunk_rows()
                 .iter()
-                .map(|c| StreamChunk {
-                    rows: c.rows,
-                    kernel: Some(c.choice.kernel.name()),
-                })
+                .map(|&rows| StreamChunk { rows })
                 .collect(),
         })
-    }
-
-    fn kernel_choice(&self, stats: &ModelStats, n_records: u64) -> Option<KernelChoice> {
-        Some(KernelChoice::from_model_stats(stats, n_records as usize))
     }
 
     fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
@@ -321,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_scoring_matches_prepared_and_names_kernels() {
+    fn stream_scoring_matches_prepared() {
         use mlscore_data::FrameScanner;
         use mlscore_forest::ModelBundle;
         let (forest, data) = higgs_setup();
@@ -335,10 +325,6 @@ mod tests {
             assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
             assert_eq!(out.rows, data.frame().n_rows());
             assert_eq!(out.chunks.len(), data.frame().n_rows().div_ceil(chunk_rows));
-            assert!(
-                out.chunks.iter().all(|c| c.kernel.is_some()),
-                "ONNX chunks carry the dispatched kernel name"
-            );
         }
     }
 

@@ -177,7 +177,6 @@ impl ScoringBackend for SklearnCpu {
             rows += chunk.n_rows();
             chunks.push(StreamChunk {
                 rows: chunk.n_rows(),
-                kernel: None,
             });
             match &mut out {
                 None => out = Some(preds),

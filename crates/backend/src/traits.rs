@@ -17,10 +17,6 @@ use crate::request::ScoringRequest;
 pub struct StreamChunk {
     /// Rows in the chunk.
     pub rows: usize,
-    /// The scoring kernel the executor dispatched for this chunk, when
-    /// the backend has a kernel tier (`None` for offload devices and for
-    /// the materializing default path).
-    pub kernel: Option<&'static str>,
 }
 
 /// The result of scoring a [`RecordStream`] against a prepared model.
@@ -249,7 +245,6 @@ pub trait ScoringBackend {
             data.extend_from_slice(chunk.as_slice());
             chunks.push(StreamChunk {
                 rows: chunk.n_rows(),
-                kernel: None,
             });
         }
         let frame = TabularFrame::from_rows(data, n_features)
@@ -277,26 +272,6 @@ pub trait ScoringBackend {
     ) -> Result<Predictions, BackendError> {
         model.ensure_scorable(self.name(), frame.n_features())?;
         self.score_lowered_traced(model.forest(), model.lowered(), frame, tracer, start)
-    }
-
-    /// Reports which CPU scoring kernel this backend's executor would pick
-    /// for the given model shape and batch size, with the cost model's
-    /// per-kernel estimates.
-    ///
-    /// `None` (the default) means the backend has no kernel tier to choose
-    /// from — it offloads to fixed hardware or a single code path. Backends
-    /// executing on the shared [`ExecPool`](mlscore_exec::ExecPool) with
-    /// the vectorized tier return the
-    /// [`KernelChoice`](mlscore_exec::KernelChoice) their score path will
-    /// dispatch on, so schedulers and benches can surface the pick without
-    /// scoring anything.
-    fn kernel_choice(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-    ) -> Option<mlscore_exec::KernelChoice> {
-        let _ = (stats, n_records);
-        None
     }
 
     /// Estimates the *overall model scoring time* breakdown (the Fig. 7
@@ -439,14 +414,6 @@ impl<B: ScoringBackend + ?Sized> ScoringBackend for Box<B> {
         start: SimInstant,
     ) -> Result<Predictions, BackendError> {
         (**self).score_prepared_traced(model, frame, tracer, start)
-    }
-
-    fn kernel_choice(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-    ) -> Option<mlscore_exec::KernelChoice> {
-        (**self).kernel_choice(stats, n_records)
     }
 
     fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
@@ -602,7 +569,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.rows, 10);
         assert_eq!(outcome.chunks.len(), 4);
-        assert!(outcome.chunks.iter().all(|c| c.kernel.is_none()));
         assert_eq!(
             outcome.predictions,
             backend.score_prepared(model.as_ref(), &frame).unwrap()

@@ -29,8 +29,8 @@ use mlscore_telemetry::json::{self, JsonValue};
 
 /// Default relative tolerance: a cell may lose up to 25% throughput
 /// before the diff calls it a regression. Wall-clock benchmarks on shared
-/// CI hosts jitter; a quarter is far outside noise for the blocked
-/// kernels this gate protects.
+/// CI hosts jitter; a quarter is far outside noise for the kernels this
+/// gate protects.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// Per-run metric suffix every compared throughput key shares.
@@ -344,13 +344,11 @@ mod tests {
             "{{\"schema\": \"mlscore/bench-cpu-scoring/v1\", \"schema_version\": 3,\n\
              \"cases\": [\n\
                {{\"dataset\": \"higgs\", \"trees\": 128, \"depth\": 10, \"records\": 10000,\n\
-                \"chosen_kernel\": \"simd\",\n\
                 \"runs\": [{{\"threads\": 1, \"flat_records_per_sec\": {flat},\n\
                             \"forest_records_per_sec\": 2e6,\n\
                             \"simd_records_per_sec\": {simd},\n\
                             \"quickscorer_records_per_sec\": 1700}}]}},\n\
                {{\"dataset\": \"iris\", \"trees\": 8, \"depth\": 10, \"records\": 500,\n\
-                \"chosen_kernel\": \"blocked\",\n\
                 \"runs\": [{{\"threads\": 1, \"flat_records_per_sec\": 5e6}}]}}\n\
              ]}}"
         )

@@ -1,13 +1,13 @@
-//! Explicit-SIMD lockstep lane walker over a heap-indexed tree image.
+//! Explicit-SIMD lockstep lane walker over a heap-indexed tree image: the
+//! executor's one flat-layout kernel.
 //!
-//! The blocked kernel in [`kernel`](crate::kernel) walks [`LANES`] records
-//! through a tree in scalar lockstep: per step and lane it loads a node's
-//! `left`/`right`/`feature`/`threshold` words, compares, and selects the
-//! next child index. This module removes the child-pointer loads entirely
-//! by re-encoding each tree into an implicit binary heap:
+//! A pointer-chasing walk loads a node's `left`/`right`/`feature`/
+//! `threshold` words per step and lane, compares, and selects the next
+//! child index. This module removes the child-pointer loads entirely by
+//! re-encoding each Fig. 4b tree into an implicit binary heap:
 //!
 //! ```text
-//!   WalkTree (explicit children)        SimdTree (heap re-encode)
+//!   FlatTree (explicit children)        SimdTree (heap re-encode)
 //!   ┌────┬────┬────┬────┐               ft:      [feat, thr] per slot
 //!   │left│rght│feat│ thr│  node i  ==>  payload: f32 per slot
 //!   └────┴────┴────┴────┘               slot i children = 2i+1 / 2i+2
@@ -22,13 +22,16 @@
 //! payload wherever they exit — the same trick the Fig. 4b capacity
 //! padding plays, applied to the payload table.
 //!
-//! Three instruction tiers implement the identical step ([`SimdLevel`]):
-//! AVX2 (8/16 lanes per step via `vpgatherdd`/`vgatherdps`), SSE2 (4-wide
-//! compare/select with scalar gathers), and a hand-unrolled portable u32
-//! fallback. The tier is picked at runtime ([`SimdLevel::detect`]) and can
-//! be forced down with the `MLSCORE_SIMD` environment override; all tiers
-//! are bit-exact with each other and with the blocked walker, because the
-//! compare (`x <= thr`, ordered-quiet, NaN → right child) and the vote /
+//! Four instruction tiers implement the identical step ([`SimdLevel`]):
+//! AVX-512 and AVX2 (16–64 lanes in flight via hardware gathers), SSE2
+//! (4-wide compare/select with scalar gathers), and a hand-unrolled
+//! portable u32 fallback. The tier is picked at runtime
+//! ([`SimdLevel::detect`]) and can be forced down with the `MLSCORE_SIMD`
+//! environment override. Rows left over after the last full lane group —
+//! and every batch shorter than [`LANES`] — take the scalar
+//! `FlatTree::score` walk. All tiers are bit-exact with each other and
+//! with the sequential `FlatForest::score_one`, because the compare
+//! (`x <= thr`, ordered-quiet, NaN → right child) and the vote /
 //! ascending-tree-order accumulation folds are identical.
 //!
 //! Build-time validation (every decision node's feature is in range, heap
@@ -36,9 +39,9 @@
 //! unchecked loads and gathers in the hot loops.
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{Predictions, RandomForest, Task};
+use mlscore_forest::{FlatForest, FlatTree, NodeRecord, Predictions, RandomForest, Task};
 
-use crate::kernel::{blocks, FlatImage, Scratch, SharedOut, WalkTree, LANES, SCRATCH};
+use crate::kernel::{blocks, FlatImage, Scratch, SharedOut, LANES, SCRATCH};
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
@@ -145,28 +148,29 @@ pub(crate) struct SimdForest {
 }
 
 impl SimdForest {
-    /// Re-encodes a decoded walk image into heap form.
+    /// Re-encodes every tree of a flat forest into heap form.
     ///
     /// Panics if a decision node references a feature outside
     /// `0..n_features` — corrupt node tables would already panic the
-    /// bounds-checked scalar walker; here the check runs once at build
-    /// time and licenses the walkers' unchecked loads.
-    pub(crate) fn build(walk: &[WalkTree], n_features: usize) -> Self {
-        let trees = walk
+    /// bounds-checked scalar walk; here the check runs once at build time
+    /// and licenses the walkers' unchecked loads.
+    pub(crate) fn build(flat: &FlatForest) -> Self {
+        let trees = flat
+            .trees()
             .iter()
-            .map(|t| SimdTree::build(t, n_features))
+            .map(|t| SimdTree::build(t, flat.n_features()))
             .collect();
         Self { trees }
     }
 }
 
 impl SimdTree {
-    fn build(walk: &WalkTree, n_features: usize) -> Self {
+    fn build(tree: &FlatTree, n_features: usize) -> Self {
         assert!(
             n_features > 0,
             "SIMD image requires at least one feature column"
         );
-        let steps = walk.steps;
+        let steps = tree.max_depth();
         let cap = (1usize << (steps + 1)) - 1;
         let mut ft = vec![0u32; 2 * cap];
         let mut payload = vec![0f32; cap];
@@ -174,37 +178,32 @@ impl SimdTree {
         // heap slots by walking the structure: (flat index, heap slot,
         // depth). Every heap slot is reachable from slot 0, so this visits
         // and initializes the entire capacity.
-        let mut stack = vec![(0u32, 0usize, 0usize)];
+        let mut stack = vec![(0usize, 0usize, 0usize)];
         while let Some((fi, h, d)) = stack.pop() {
-            let node = walk.nodes[fi as usize];
-            let is_leaf = node.left == fi && node.right == fi;
-            if is_leaf {
-                fill_subtree(&mut payload, h, d, steps, walk.payload[fi as usize]);
-            } else if d == steps {
+            match tree.record(fi) {
+                NodeRecord::Leaf { payload: v } => fill_subtree(&mut payload, h, d, steps, v),
                 // Capacity exhausted at a decision node (impossible for
                 // well-formed encodings, where every path fits in `steps`
-                // levels): mirror the lockstep walker, which stops here
-                // and reads the node's word 1.
-                payload[h] = walk.payload[fi as usize];
-            } else {
-                assert!(
-                    (node.feature as usize) < n_features,
-                    "decision node feature {} out of range (model has {})",
-                    node.feature,
-                    n_features
-                );
-                ft[2 * h] = node.feature;
-                ft[2 * h + 1] = node.threshold.to_bits();
-                stack.push((node.left, 2 * h + 1, d + 1));
-                stack.push((node.right, 2 * h + 2, d + 1));
+                // levels): stop here and read the node's word 1.
+                NodeRecord::Decision { right, .. } if d == steps => payload[h] = right as f32,
+                NodeRecord::Decision {
+                    left,
+                    right,
+                    feature,
+                    threshold,
+                } => {
+                    assert!(
+                        (feature as usize) < n_features,
+                        "decision node feature {feature} out of range (model has {n_features})"
+                    );
+                    ft[2 * h] = feature;
+                    ft[2 * h + 1] = threshold.to_bits();
+                    stack.push((left as usize, 2 * h + 1, d + 1));
+                    stack.push((right as usize, 2 * h + 2, d + 1));
+                }
             }
         }
         Self { ft, payload, steps }
-    }
-
-    /// Bytes held by this tree's heap image.
-    pub(crate) fn image_bytes(&self) -> usize {
-        self.ft.len() * 4 + self.payload.len() * 4
     }
 }
 
@@ -226,7 +225,7 @@ fn fill_subtree(payload: &mut [f32], h: usize, d: usize, steps: usize, v: f32) {
 /// Walks `LANES` consecutive records (starting at `row0`) through one
 /// heap-encoded tree in lockstep at the given tier.
 ///
-/// Bit-exact with [`walk_flat_lanes`](crate::kernel) on the same tree.
+/// Bit-exact with `FlatTree::score` on each of the lanes' records.
 // analyze: hot
 #[allow(unsafe_code)]
 #[inline]
@@ -868,10 +867,9 @@ fn simd_regress_block(
 /// Scores a frame against a prepared [`FlatImage`] with the explicit-SIMD
 /// lane walker at the given tier.
 ///
-/// Bit-exact with [`score_image_batch`](crate::kernel::score_image_batch)
-/// (and therefore with the sequential `score_one`): the traversal
-/// decisions, vote counts, and ascending-tree-order regression folds are
-/// identical at every tier.
+/// Bit-exact with the sequential `FlatForest::score_one` at every tier:
+/// the traversal decisions, vote counts, and ascending-tree-order
+/// regression folds are identical.
 ///
 /// # Panics
 ///
@@ -932,6 +930,52 @@ pub fn score_simd_batch(
     }
 }
 
+/// The flat-layout kernel a scoring call ran: always the SIMD lane walker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Explicit-SIMD lane walk ([`score_simd_batch`]).
+    Simd,
+}
+
+impl Kernel {
+    /// Stable lower-case name, used as a span tag by callers that record
+    /// which kernel scored a batch.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Simd => "simd",
+        }
+    }
+}
+
+/// What [`score_auto_batch`] ran: the kernel and the SIMD tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelChoice {
+    /// The kernel dispatched.
+    pub kernel: Kernel,
+    /// The SIMD tier the walker ran at ([`SimdLevel::detect`]).
+    pub level: SimdLevel,
+}
+
+/// Scores a frame with the SIMD lane walker at the detected tier,
+/// returning what ran alongside the predictions.
+///
+/// # Panics
+///
+/// Panics if the frame's feature count differs from the model's.
+pub fn score_auto_batch(
+    image: &FlatImage,
+    frame: &TabularFrame,
+    pool: &ExecPool,
+    cfg: &RunConfig,
+) -> (Predictions, RunReport, KernelChoice) {
+    let choice = KernelChoice {
+        kernel: Kernel::Simd,
+        level: SimdLevel::detect(),
+    };
+    let (preds, report) = score_simd_batch(image, frame, pool, cfg, choice.level);
+    (preds, report, choice)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,51 +1004,61 @@ mod tests {
         ls
     }
 
-    #[test]
-    fn every_level_matches_blocked_classification() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
-        let image = FlatImage::from_forest(&forest, 7).unwrap();
-        let f = frame(333, 5, 1);
-        let pool = ExecPool::new(4);
-        let cfg = RunConfig::for_threads(4)
-            .with_record_block(32)
-            .with_tree_block(5);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+    /// Predictions as raw bits so regression outputs compare exactly.
+    fn bits(preds: &Predictions) -> Vec<u32> {
+        match preds {
+            Predictions::Classes(c) => c.clone(),
+            Predictions::Values(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    /// The sequential `FlatForest::score_one` reference, as raw bits.
+    fn sequential(image: &FlatImage, f: &TabularFrame) -> Vec<u32> {
+        let flat = image.flat();
+        f.rows()
+            .map(|r| match flat.task() {
+                Task::Classification { .. } => flat.score_one(r) as u32,
+                Task::Regression => flat.score_one(r).to_bits(),
+            })
+            .collect()
+    }
+
+    /// Scores `f` at every tier the host supports and asserts each one
+    /// reproduces the sequential reference bit for bit.
+    fn assert_every_level_exact(
+        image: &FlatImage,
+        f: &TabularFrame,
+        pool: &ExecPool,
+        cfg: &RunConfig,
+    ) {
+        let want = sequential(image, f);
         for level in levels() {
-            let (simd, report) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
-            assert_eq!(report.rows(), 333);
+            let (simd, report) = score_simd_batch(image, f, pool, cfg, level);
+            assert_eq!(bits(&simd), want, "{} rows, level {level:?}", f.n_rows());
+            assert_eq!(report.rows(), f.n_rows());
         }
     }
 
     #[test]
-    fn every_level_matches_blocked_regression_bit_exact() {
+    fn every_level_matches_sequential_classification() {
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
+        let image = FlatImage::from_forest(&forest, 7).unwrap();
+        let cfg = RunConfig::for_threads(4)
+            .with_record_block(32)
+            .with_tree_block(5);
+        assert_every_level_exact(&image, &frame(333, 5, 1), &ExecPool::new(4), &cfg);
+    }
+
+    #[test]
+    fn every_level_matches_sequential_regression_bit_exact() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
         let image = FlatImage::from_forest(&forest, 6).unwrap();
-        let f = frame(203, 4, 7);
-        let pool = ExecPool::new(3);
         let cfg = RunConfig::for_threads(3)
             .with_record_block(48)
             .with_tree_block(4);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        let want: Vec<u32> = blocked
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        for level in levels() {
-            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            let got: Vec<u32> = simd
-                .as_values()
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, want, "level {level:?}");
-        }
+        assert_every_level_exact(&image, &frame(203, 4, 7), &ExecPool::new(3), &cfg);
     }
 
     #[test]
@@ -1028,13 +1082,10 @@ mod tests {
         .unwrap();
         let image = FlatImage::from_forest(&forest, 6).unwrap();
         let f = frame(100, nf, 3);
-        let pool = ExecPool::new(2);
-        let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        for level in levels() {
-            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
-        }
+        let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
+        assert_every_level_exact(&image, &f, &pool, &cfg);
+        let (preds, _) = score_simd_batch(&image, &f, &pool, &cfg, SimdLevel::detect());
+        assert_eq!(preds, forest.predict_batch(f.as_slice()));
     }
 
     #[test]
@@ -1043,14 +1094,9 @@ mod tests {
             RandomForest::synthetic_full(&ForestConfig::classification(4, 3, 2).with_depth(4), 1);
         let image = FlatImage::from_forest(&forest, 4).unwrap();
         let pool = ExecPool::new(2);
-        let cfg = RunConfig::default();
         for rows in [0usize, 1, 7, 8, 9, 15, 16, 17] {
             let f = frame(rows, 3, rows as u64);
-            let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-            for level in levels() {
-                let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-                assert_eq!(simd, blocked, "rows {rows} level {level:?}");
-            }
+            assert_every_level_exact(&image, &f, &pool, &RunConfig::default());
         }
     }
 
@@ -1058,14 +1104,8 @@ mod tests {
     fn depth_zero_forest() {
         let forest = RandomForest::synthetic_full(&ForestConfig::regression(3, 2).with_depth(0), 2);
         let image = FlatImage::from_forest(&forest, 0).unwrap();
-        let f = frame(33, 2, 8);
-        let pool = ExecPool::new(2);
-        let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        for level in levels() {
-            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
-        }
+        let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
+        assert_every_level_exact(&image, &frame(33, 2, 8), &pool, &cfg);
     }
 
     #[test]
@@ -1080,13 +1120,22 @@ mod tests {
             }
         }
         let f = TabularFrame::from_rows(data, 4).unwrap();
-        let pool = ExecPool::new(2);
-        let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        for level in levels() {
-            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
-        }
+        let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
+        assert_every_level_exact(&image, &f, &pool, &cfg);
+    }
+
+    #[test]
+    fn auto_batch_runs_the_walker_at_the_detected_tier() {
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(8, 4, 3).with_depth(6), 5);
+        let image = FlatImage::from_forest(&forest, 6).unwrap();
+        let f = frame(77, 4, 2);
+        let (preds, report, choice) =
+            score_auto_batch(&image, &f, &ExecPool::new(2), &RunConfig::for_threads(2));
+        assert_eq!(choice.kernel.name(), "simd");
+        assert_eq!(choice.level, SimdLevel::detect());
+        assert_eq!(bits(&preds), sequential(&image, &f));
+        assert_eq!(report.rows(), 77);
     }
 
     #[test]
@@ -1101,24 +1150,13 @@ mod tests {
         let f = frame(100_000, 4, 1);
         let pool = ExecPool::new(1);
         let cfg = RunConfig::for_threads(1);
-        let time = |label: &str, go: &dyn Fn() -> ()| {
-            go(); // warm
-            let t0 = Instant::now();
-            go();
-            let dt = t0.elapsed().as_secs_f64();
-            println!("{label:>10}: {:>10.0} rec/s", 100_000.0 / dt);
-        };
-        time("blocked", &|| {
-            crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        });
         for level in levels() {
-            time(level.name(), &|| {
-                score_simd_batch(&image, &f, &pool, &cfg, level);
-            });
+            score_simd_batch(&image, &f, &pool, &cfg, level); // warm
+            let t0 = Instant::now();
+            score_simd_batch(&image, &f, &pool, &cfg, level);
+            let dt = t0.elapsed().as_secs_f64();
+            println!("{:>10}: {:>10.0} rec/s", level.name(), 100_000.0 / dt);
         }
-        time("qs", &|| {
-            crate::quickscorer::score_quickscorer_batch(&image, &f, &pool, &cfg);
-        });
     }
 
     #[test]

@@ -5,32 +5,37 @@
 //! a process-wide, spawn-once [`ExecPool`]: a work-stealing pool whose
 //! workers park between calls, claim row ranges in cache-sized blocks from
 //! per-worker deques, and steal half of a victim's remaining range when
-//! their own deque runs dry. On top of the pool, [`kernel`] provides
-//! blocked record×tree scoring kernels for the three forest
-//! representations (pointer trees, the Fig. 4b flat layout, and the
-//! quantized layout) with per-thread reusable vote scratch and a lockstep
-//! multi-record traversal inner loop.
+//! their own deque runs dry. On top of the pool sit two kernels, one per
+//! forest representation the paper's CPU libraries score:
 //!
-//! Every kernel is bit-exact against the corresponding sequential
-//! `score_one`/`predict_one` path: vote counts are commutative integer
-//! adds, and regression sums accumulate in ascending tree order — the same
-//! floating-point fold the sequential path performs.
+//! * [`kernel::score_forest_batch`] walks SKLearn-style pointer trees in
+//!   blocked record×tree tiles;
+//! * [`score_simd_batch`] walks the Fig. 4b flat layout (ONNX's side),
+//!   prepared once as a [`FlatImage`], with an explicit-SIMD lane walker
+//!   at the host's [`SimdLevel`]. [`score_auto_batch`] and
+//!   [`score_stream`] run it at the detected tier.
+//!
+//! Both keep per-thread reusable vote scratch and are bit-exact against
+//! the corresponding sequential `score_one`/`predict_one` path: vote
+//! counts are commutative integer adds, and regression sums accumulate in
+//! ascending tree order — the same floating-point fold the sequential
+//! path performs.
 //!
 //! # Example
 //!
 //! ```
 //! use mlscore_data::Dataset;
-//! use mlscore_exec::{kernel, ExecPool, RunConfig};
-//! use mlscore_forest::{FlatForest, ForestConfig, RandomForest};
+//! use mlscore_exec::{score_auto_batch, ExecPool, FlatImage, RunConfig};
+//! use mlscore_forest::{ForestConfig, RandomForest};
 //!
 //! let forest = RandomForest::synthetic_full(
 //!     &ForestConfig::classification(8, 4, 3).with_depth(6),
 //!     11,
 //! );
-//! let flat = FlatForest::from_forest(&forest, 6).unwrap();
+//! let image = FlatImage::from_forest(&forest, 6).unwrap();
 //! let data = Dataset::iris(200, 3).normalized();
 //! let cfg = RunConfig::for_threads(4);
-//! let (preds, report) = kernel::score_flat_batch(&flat, data.frame(), ExecPool::global(), &cfg);
+//! let (preds, report, _) = score_auto_batch(&image, data.frame(), ExecPool::global(), &cfg);
 //! assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
 //! assert_eq!(report.rows(), 200);
 //! ```
@@ -38,21 +43,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod choice;
 pub mod kernel;
 pub mod kernel_simd;
 pub mod pool;
-pub mod quickscorer;
 pub mod report;
 pub mod stream;
 
-pub use choice::{score_auto_batch, Kernel, KernelChoice};
-pub use kernel::{
-    fill_indexed, score_flat_batch, score_forest_batch, score_image_batch, score_quantized_batch,
-    FlatImage, ImageLayout,
-};
-pub use kernel_simd::{score_simd_batch, SimdLevel};
+pub use kernel::{score_forest_batch, FlatImage};
+pub use kernel_simd::{score_auto_batch, score_simd_batch, Kernel, KernelChoice, SimdLevel};
 pub use pool::{ExecPool, RunConfig};
-pub use quickscorer::score_quickscorer_batch;
 pub use report::{RunReport, WorkerReport};
-pub use stream::{score_stream, ChunkRun, StreamReport};
+pub use stream::{score_stream, StreamReport};

@@ -1,15 +1,13 @@
 //! Chunked scoring off a [`RecordStream`]: the executor end of the fused
 //! scan→featurize→score path.
 //!
-//! [`score_stream`] pulls cache-sized chunks from a scanner and feeds each
-//! one to whichever kernel the [`KernelChoice`] cost model picks for that
-//! chunk's row count — the same dispatch
-//! [`score_auto_batch`](crate::choice::score_auto_batch) performs for a
-//! whole frame, re-ranked per chunk (a short final chunk may fall back to
-//! the blocked walker where the full batch would have gone SIMD).
+//! [`score_stream`] pulls cache-sized chunks from a scanner and scores
+//! each one with the SIMD lane walker at the detected tier — the same
+//! call [`score_auto_batch`](crate::kernel_simd::score_auto_batch) makes
+//! for a whole frame.
 //!
 //! Per-chunk predictions are folded deterministically: every record is
-//! fully scored within exactly one chunk, and all kernels are bit-exact at
+//! fully scored within exactly one chunk, and the walker is bit-exact at
 //! any batch size, so appending chunk predictions in pull order
 //! reproduces the whole-frame result bit for bit (pinned by
 //! `tests/fused_stream.rs`).
@@ -17,27 +15,15 @@
 use mlscore_data::{RecordStream, TabularFrame};
 use mlscore_forest::Predictions;
 
-use crate::choice::{Kernel, KernelChoice};
-use crate::kernel::{self, FlatImage};
+use crate::kernel::FlatImage;
 use crate::kernel_simd::{score_simd_batch, SimdLevel};
 use crate::pool::{ExecPool, RunConfig};
-use crate::quickscorer::score_quickscorer_batch;
-
-/// One scored chunk: its row count and the kernel the cost model picked
-/// for it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkRun {
-    /// Rows in the chunk.
-    pub rows: usize,
-    /// The cost model's verdict for this chunk.
-    pub choice: KernelChoice,
-}
 
 /// Summary of one [`score_stream`] run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamReport {
     rows: usize,
-    chunks: Vec<ChunkRun>,
+    chunk_rows: Vec<usize>,
 }
 
 impl StreamReport {
@@ -48,23 +34,12 @@ impl StreamReport {
 
     /// Number of chunks pulled.
     pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
+        self.chunk_rows.len()
     }
 
-    /// Per-chunk rows and kernel picks, in pull order.
-    pub fn chunks(&self) -> &[ChunkRun] {
-        &self.chunks
-    }
-
-    /// Distinct kernels dispatched across the run, in first-use order.
-    pub fn kernels(&self) -> Vec<Kernel> {
-        let mut out: Vec<Kernel> = Vec::new();
-        for c in &self.chunks {
-            if !out.contains(&c.choice.kernel) {
-                out.push(c.choice.kernel);
-            }
-        }
-        out
+    /// Rows in each scored chunk, in pull order.
+    pub fn chunk_rows(&self) -> &[usize] {
+        &self.chunk_rows
     }
 }
 
@@ -88,30 +63,19 @@ pub fn score_stream(
         if chunk.is_empty() {
             continue;
         }
-        let choice = KernelChoice::choose(image.stats(), chunk.n_rows(), level);
-        let (preds, _run) = match choice.kernel {
-            Kernel::Blocked => kernel::score_image_batch(image, chunk, pool, cfg),
-            Kernel::Simd => score_simd_batch(image, chunk, pool, cfg, choice.level),
-            Kernel::Quickscorer => score_quickscorer_batch(image, chunk, pool, cfg),
-        };
+        let (preds, _run) = score_simd_batch(image, chunk, pool, cfg, level);
         report.rows += chunk.n_rows();
-        report.chunks.push(ChunkRun {
-            rows: chunk.n_rows(),
-            choice,
-        });
+        report.chunk_rows.push(chunk.n_rows());
         match &mut out {
             None => out = Some(preds),
             Some(acc) => acc.append(&preds),
         }
     }
-    let preds = out.unwrap_or_else(|| empty_predictions(image, pool, cfg));
+    let preds = out.unwrap_or_else(|| {
+        let empty = TabularFrame::with_capacity(0, image.flat().n_features());
+        score_simd_batch(image, &empty, pool, cfg, level).0
+    });
     (preds, report)
-}
-
-/// A zero-record prediction batch of the image's task kind.
-fn empty_predictions(image: &FlatImage, pool: &ExecPool, cfg: &RunConfig) -> Predictions {
-    let empty = TabularFrame::with_capacity(0, image.stats().n_features);
-    kernel::score_image_batch(image, &empty, pool, cfg).0
 }
 
 #[cfg(test)]
@@ -165,9 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn per_chunk_choices_rerank_short_tails() {
-        // 128×10 picks SIMD for large chunks but the blocked walker for
-        // sub-lane tails — the report records both.
+    fn report_records_each_chunk_in_pull_order() {
         let (_, image) = image(128, 10, 2, 3);
         let data = Dataset::iris(crate::kernel::LANES * 4 + 3, 5).normalized();
         let mut scanner = FrameScanner::new(data.frame(), crate::kernel::LANES * 4);
@@ -177,13 +139,7 @@ mod tests {
             ExecPool::global(),
             &RunConfig::default(),
         );
-        assert_eq!(report.n_chunks(), 2);
-        let kernels: Vec<Kernel> = report.chunks().iter().map(|c| c.choice.kernel).collect();
-        assert_eq!(
-            kernels[1],
-            Kernel::Blocked,
-            "3-row tail avoids the SIMD path"
-        );
-        assert_eq!(report.kernels(), vec![Kernel::Simd, Kernel::Blocked]);
+        assert_eq!(report.chunk_rows(), &[crate::kernel::LANES * 4, 3]);
+        assert_eq!(report.rows(), crate::kernel::LANES * 4 + 3);
     }
 }

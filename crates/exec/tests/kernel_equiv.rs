@@ -1,19 +1,16 @@
-//! Cross-kernel equivalence: the blocked image walker, the explicit-SIMD
-//! lane walker at every tier the host supports, and the QuickScorer
-//! bitvector kernel must be bit-exact with the sequential pointer-tree
-//! reference — over the paper's dataset shapes (iris-like and
-//! HIGGS-like), forest sizes {1, 8, 128}, batch-edge record counts
-//! {0, 1, odd, LANES±1}, multiple pool widths, and the `MLSCORE_SIMD`
-//! env-forced fallback tiers.
+//! Tier equivalence: the explicit-SIMD lane walker at every tier the host
+//! supports must be bit-exact with the sequential pointer-tree reference —
+//! over the paper's dataset shapes (iris-like and HIGGS-like), forest
+//! sizes {1, 8, 128}, full and leaf-capped (trained-looking) trees,
+//! batch-edge record counts {0, 1, odd, LANES±1}, multiple pool widths,
+//! and the `MLSCORE_SIMD` env-forced fallback tiers.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use mlscore_data::{Dataset, TabularFrame};
-use mlscore_exec::{
-    kernel, score_quickscorer_batch, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel,
-};
+use mlscore_exec::{kernel, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
 use mlscore_forest::{ForestConfig, Predictions, RandomForest};
 
 /// Pool widths: serial, small, and wider than any sweep batch shard.
@@ -60,15 +57,13 @@ fn shaped_frame(dataset: &str, rows: usize) -> TabularFrame {
     data.frame().clone()
 }
 
-/// Runs every kernel on `(forest, frame)` at every pool width and asserts
-/// each one reproduces the sequential reference bit for bit.
-fn assert_all_kernels_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
+/// Runs the walker on `(forest, frame)` at every tier and pool width and
+/// asserts each run reproduces the sequential reference bit for bit.
+fn assert_all_tiers_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
     let image = FlatImage::from_forest(forest, forest.max_depth()).unwrap();
     let reference = bits(&forest.predict_batch(frame.as_slice()));
     for (pool, threads) in pools().iter().zip(THREADS) {
         let cfg = RunConfig::for_threads(threads);
-        let (preds, _) = kernel::score_image_batch(&image, frame, pool, &cfg);
-        assert_eq!(bits(&preds), reference, "{what}: blocked @{threads}th");
         for level in levels() {
             let (preds, _) = score_simd_batch(&image, frame, pool, &cfg, level);
             assert_eq!(
@@ -78,34 +73,48 @@ fn assert_all_kernels_exact(forest: &RandomForest, frame: &TabularFrame, what: &
                 level.name()
             );
         }
-        let (preds, _) = score_quickscorer_batch(&image, frame, pool, &cfg);
-        assert_eq!(bits(&preds), reference, "{what}: quickscorer @{threads}th");
     }
 }
 
-/// The deterministic grid the issue names: {iris, higgs} shapes ×
-/// {1, 8, 128} trees × batch-edge record counts, classification.
+/// Leaf-capped (leaves, depth) shapes: sparse trees encoded far deeper
+/// than most of their leaves, where the heap re-encode's payload
+/// propagation does most of the work.
+const CAPPED: [(usize, usize); 4] = [(8, 8), (16, 8), (8, 10), (16, 10)];
+
+/// The deterministic grid: {iris, higgs} shapes × {1, 8, 128} trees ×
+/// {full depth 6, each leaf-capped shape} × batch-edge record counts,
+/// classification.
 #[test]
-fn grid_blocked_simd_quickscorer_bit_exact() {
+fn grid_every_tier_bit_exact() {
     let record_counts = [0, 1, 37, kernel::LANES - 1, kernel::LANES + 1];
     for dataset in ["iris", "higgs"] {
         let (n_features, n_classes) = if dataset == "iris" { (4, 3) } else { (28, 2) };
         for trees in [1usize, 8, 128] {
-            let forest = RandomForest::synthetic_full(
-                &ForestConfig::classification(trees, n_features, n_classes).with_depth(6),
-                11,
-            );
-            for records in record_counts {
-                let frame = shaped_frame(dataset, records);
-                let what = format!("{dataset} x{trees} trees @{records} records");
-                assert_all_kernels_exact(&forest, &frame, &what);
+            let config = ForestConfig::classification(trees, n_features, n_classes);
+            let mut forests = vec![(
+                "full d6".to_string(),
+                RandomForest::synthetic_full(&config.with_depth(6), 11),
+            )];
+            for (leaves, depth) in CAPPED {
+                forests.push((
+                    format!("{leaves} leaves d{depth}"),
+                    RandomForest::synthetic_capped(&config.with_depth(depth), leaves, 11),
+                ));
+            }
+            for (shape, forest) in &forests {
+                for records in record_counts {
+                    let frame = shaped_frame(dataset, records);
+                    let what = format!("{dataset} x{trees} {shape} trees @{records} records");
+                    assert_all_tiers_exact(forest, &frame, &what);
+                }
             }
         }
     }
 }
 
-/// Regression forests go through different accumulation folds in every
-/// kernel; they must still agree bit for bit.
+/// Regression forests take the ascending-tree-order `f32` fold in every
+/// lane-group stride and the scalar tail; they must still agree bit for
+/// bit.
 #[test]
 fn regression_kernels_bit_exact_at_batch_edges() {
     for trees in [1usize, 8] {
@@ -120,7 +129,7 @@ fn regression_kernels_bit_exact_at_batch_edges() {
         ] {
             let frame = shaped_frame("iris", records);
             let what = format!("regression x{trees} trees @{records} records");
-            assert_all_kernels_exact(&forest, &frame, &what);
+            assert_all_tiers_exact(&forest, &frame, &what);
         }
     }
 }
@@ -159,7 +168,7 @@ fn env_forced_fallback_levels_stay_bit_exact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random shapes: every kernel tier agrees with the sequential
+    /// Random shapes: every walker tier agrees with the sequential
     /// reference on classification forests, including vote ties (few
     /// trees and classes make them common) and NaN-free random frames.
     #[test]
@@ -189,13 +198,9 @@ proptest! {
         let reference = bits(&forest.predict_batch(frame.as_slice()));
         let pool = &pools()[1];
         let cfg = RunConfig::for_threads(THREADS[1]);
-        let (preds, _) = kernel::score_image_batch(&image, &frame, pool, &cfg);
-        prop_assert_eq!(&bits(&preds), &reference);
         for level in levels() {
             let (preds, _) = score_simd_batch(&image, &frame, pool, &cfg, level);
             prop_assert_eq!(&bits(&preds), &reference, "simd/{}", level.name());
         }
-        let (preds, _) = score_quickscorer_batch(&image, &frame, pool, &cfg);
-        prop_assert_eq!(&bits(&preds), &reference);
     }
 }

@@ -9,7 +9,7 @@
 //! pays off when the *fleet* keeps compiled artifacts warm, so routing
 //! policy (cache affinity vs. load spread) and scaling policy (cold nodes
 //! pay compile storms) move SLO attainment and device-seconds as much as
-//! any per-node kernel choice.
+//! any per-node kernel speed.
 //!
 //! Everything runs on the shared simulated clock: one
 //! [`run_fleet`] call is a pure function of `(FleetConfig,

@@ -28,8 +28,8 @@ pub const NODE_WORDS: usize = 4;
 pub const NODE_BYTES: usize = NODE_WORDS * 4;
 
 /// One flat node record decoded from its four-word encoding — the typed
-/// view layout builders (the executor's lockstep, SIMD, and QuickScorer
-/// images) consume instead of re-parsing the raw words themselves.
+/// view layout builders (such as the executor's SIMD heap image) consume
+/// instead of re-parsing the raw words themselves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeRecord {
     /// A decision record: `x[feature] <= threshold` selects `left`,

@@ -147,7 +147,7 @@ mod tests {
                     .map(|(i, b)| (i, b.estimate(stats, n_records).total()))
                     .min_by(|a, b| a.1.cmp(&b.1))
                     .map(|(index, predicted)| {
-                        crate::policy::Choice::new(index, predicted, stats, n_records, backends)
+                        crate::policy::Choice::new(index, predicted, backends)
                     })
             }
         }

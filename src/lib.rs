@@ -12,8 +12,8 @@
 //! * [`mlscore_data`] — tabular frames and synthetic IRIS/HIGGS generators.
 //! * [`mlscore_backend`] — the [`ScoringBackend`](mlscore_backend::ScoringBackend)
 //!   trait and CPU backends.
-//! * [`mlscore_exec`] — persistent work-stealing batch executor and blocked
-//!   scoring kernels.
+//! * [`mlscore_exec`] — persistent work-stealing batch executor with a
+//!   blocked pointer-tree kernel and a SIMD flat-layout walker.
 //! * [`mlscore_gpu`] / [`mlscore_fpga`] — accelerator models.
 //! * [`mlscore_offload`] — PCIe and offload-overhead models.
 //! * [`mlscore_pipeline`] — the end-to-end T-SQL query pipeline.
