@@ -170,4 +170,13 @@ if grep -q '"data preprocessing"' target/trace_fused.json; then
     exit 1
 fi
 
+echo "== ablation smoke (repro ablation) =="
+# Every extension study table (EXPERIMENTS.md A1-A3, A5-A7, A10) must
+# render: a study that fails exits non-zero, and each header must print.
+cargo run --release -q -p mlscore-bench --bin repro -- ablation \
+    > target/ablation.log
+for study in A1 A2 A3 A5 A6 A7; do
+    grep -q "^--- Ablation $study: " target/ablation.log
+done
+
 echo "ci: all checks passed"

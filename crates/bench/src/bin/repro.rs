@@ -196,63 +196,159 @@ fn parse_count(text: &str) -> Option<u64> {
     digits.parse::<u64>().ok().map(|n| n * mult)
 }
 
-/// `repro trace [--out FILE] [--warm|--cold] [--fused] [dataset] [trees] [records] [backend]`
-fn trace(args: &[String]) {
-    let mut out_path: Option<String> = None;
-    let mut warm = false;
-    let mut fused = false;
-    let mut pos: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
+/// One subcommand's command line: the switches and valued flags it
+/// accepts, and the usage line printed on any malformed input.
+struct Cli {
+    usage: &'static str,
+    switches: &'static [&'static str],
+    /// `(flag, value count, what the values are)`.
+    valued: &'static [(&'static str, usize, &'static str)],
+    /// Whether bare words (anything not starting with `--`) are accepted.
+    positional: bool,
+}
+
+/// A parsed command line: the flags in the order given, then bare words.
+struct Args {
+    cli: &'static Cli,
+    flags: Vec<(&'static str, Vec<String>)>,
+    positional: Vec<String>,
+}
+
+impl Cli {
+    /// Parses `args`; a missing value or an unknown flag exits 2.
+    fn parse(&'static self, args: &[String]) -> Args {
+        let mut parsed = Args {
+            cli: self,
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&flag) = self.switches.iter().find(|&&f| f == arg) {
+                parsed.flags.push((flag, Vec::new()));
+            } else if let Some(&(flag, n, _)) = self.valued.iter().find(|v| v.0 == arg) {
+                let values: Vec<String> = it.by_ref().take(n).cloned().collect();
+                if values.len() < n {
+                    self.fail_value(flag);
                 }
+                parsed.flags.push((flag, values));
+            } else if self.positional && !arg.starts_with("--") {
+                parsed.positional.push(arg.clone());
+            } else {
+                self.fail(&format!("unknown flag '{arg}'"));
             }
-        } else if arg == "--warm" {
-            warm = true;
-        } else if arg == "--cold" {
-            warm = false;
-        } else if arg == "--fused" {
-            fused = true;
-        } else {
-            pos.push(arg.clone());
         }
+        parsed
     }
-    fn fail(msg: String) -> ! {
+
+    /// Prints `msg` and the usage line, then exits 2.
+    fn fail(&self, msg: &str) -> ! {
         eprintln!("{msg}");
-        eprintln!(
-            "usage: repro trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]"
-        );
-        eprintln!("backends: cpu sklearn onnx1 gpu gpu-rapids fpga");
+        eprintln!("{}", self.usage);
         std::process::exit(2);
     }
-    let dataset = match pos.first().map(String::as_str).unwrap_or("higgs") {
+
+    /// Fails with what the valued `flag` needs.
+    fn fail_value(&self, flag: &str) -> ! {
+        let what = self.valued.iter().find(|v| v.0 == flag).map_or("", |v| v.2);
+        self.fail(&format!("{flag} needs {what}"))
+    }
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The values of the last `flag` given.
+    fn values(&self, flag: &str) -> Option<&[String]> {
+        let last = self.flags.iter().rev().find(|(f, _)| *f == flag);
+        last.map(|(_, v)| v.as_slice())
+    }
+
+    /// The (first) value of the last `flag` given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag)?.first().map(String::as_str)
+    }
+
+    /// The value of the last `flag` given, parsed; a value that does not
+    /// parse or that `ok` rejects exits 2.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, ok: impl Fn(&T) -> bool) -> Option<T> {
+        let value = self.value(flag)?.parse().ok().filter(|v| ok(v));
+        Some(value.unwrap_or_else(|| self.cli.fail_value(flag)))
+    }
+}
+
+/// Reads `path`, or reports why not and exits 1.
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Writes `text` to `path`, or reports why not and exits 1.
+fn write_or_exit(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+}
+
+/// Reports the outcome of validating the `kind` document at `path`
+/// (`n` `unit`s on success); an invalid document exits 1.
+fn check_or_exit(path: &str, kind: &str, unit: &str, validated: Result<usize, String>) {
+    match validated {
+        Ok(n) => println!("{path}: valid {kind}, {n} {unit}"),
+        Err(e) => {
+            eprintln!("{path}: invalid {kind}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `repro trace [--out FILE] [--warm|--cold] [--fused] [dataset] [trees] [records] [backend]`
+fn trace(argv: &[String]) {
+    static CLI: Cli = Cli {
+        usage: "usage: repro trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]\n\
+                backends: cpu sklearn onnx1 gpu gpu-rapids fpga",
+        switches: &["--warm", "--cold", "--fused"],
+        valued: &[("--out", 1, "a file path")],
+        positional: true,
+    };
+    let args = CLI.parse(argv);
+    // The later of --warm/--cold wins; cold is the default.
+    let warm = args
+        .flags
+        .iter()
+        .rev()
+        .find(|(f, _)| *f == "--warm" || *f == "--cold")
+        .is_some_and(|(f, _)| *f == "--warm");
+    let fused = args.has("--fused");
+    let pos = |i: usize, default: &'static str| args.positional.get(i).map_or(default, |s| s);
+    let dataset = match pos(0, "higgs") {
         "higgs" => DatasetSpec::Higgs,
         "iris" => DatasetSpec::Iris,
-        other => fail(format!("unknown dataset '{other}'")),
+        other => CLI.fail(&format!("unknown dataset '{other}'")),
     };
-    let trees: usize = match pos.get(1).map(String::as_str).unwrap_or("128").parse() {
+    let trees: usize = match pos(1, "128").parse() {
         Ok(t) if t >= 1 => t,
-        _ => fail(format!("bad tree count '{}' (need >= 1)", pos[1])),
+        _ => CLI.fail(&format!("bad tree count '{}' (need >= 1)", pos(1, ""))),
     };
-    let records = match parse_count(pos.get(2).map(String::as_str).unwrap_or("1m")) {
+    let records = match parse_count(pos(2, "1m")) {
         Some(n) => n,
-        None => fail(format!("bad record count '{}'", pos[2])),
+        None => CLI.fail(&format!("bad record count '{}'", pos(2, ""))),
     };
-    let backend_name = pos.get(3).map(String::as_str).unwrap_or("fpga");
+    let backend_name = pos(3, "fpga");
     let backend = match backend_by_name(backend_name) {
         Some(b) => b,
-        None => fail(format!("unknown backend '{backend_name}'")),
+        None => CLI.fail(&format!("unknown backend '{backend_name}'")),
     };
 
     let forest = mlscore_core::calibration::paper_model(dataset, trees, 10);
     let stats = ModelStats::of(&forest);
     if let Err(e) = backend.supports(&stats) {
-        fail(format!("backend rejects this model: {e}"));
+        CLI.fail(&format!("backend rejects this model: {e}"));
     }
     let bundle = ModelBundle::serialize(&forest);
     let pipeline = QueryPipeline::new(backend);
@@ -296,12 +392,9 @@ fn trace(args: &[String]) {
     };
     let span_trace = tracer.take();
     let json = perfetto::to_json(&span_trace);
-    match out_path {
+    match args.value("--out") {
         Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_or_exit(path, &json);
             println!(
                 "wrote {path}: {} spans, {} bytes (open at ui.perfetto.dev)",
                 span_trace.len(),
@@ -334,66 +427,29 @@ fn trace(args: &[String]) {
 /// and with `--diff` it compares two report files cell by cell and exits
 /// non-zero when any throughput number regressed beyond the relative
 /// tolerance.
-fn bench(args: &[String]) {
+fn bench(argv: &[String]) {
     use mlscore_bench::cpu_bench::{self, BenchOptions, CaseResult};
     use mlscore_bench::diff;
 
-    let mut quick = false;
-    let mut out_path = "BENCH_cpu_scoring.json".to_string();
-    let mut check: Option<String> = None;
-    let mut diff_paths: Option<(String, String)> = None;
-    let mut tolerance = diff::DEFAULT_TOLERANCE;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--diff" => match (it.next(), it.next()) {
-                (Some(old), Some(new)) => diff_paths = Some((old.clone(), new.clone())),
-                _ => {
-                    eprintln!("--diff needs two file paths (old new)");
-                    std::process::exit(2);
-                }
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) => tolerance = t,
-                _ => {
-                    eprintln!("--tolerance needs a fraction in [0, 1)");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench flag '{other}'");
-                eprintln!(
-                    "usage: repro bench [--quick] [--out FILE] [--check FILE] \
-                     [--diff OLD NEW [--tolerance T]]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    static CLI: Cli = Cli {
+        usage: "usage: repro bench [--quick] [--out FILE] [--check FILE] \
+                [--diff OLD NEW [--tolerance T]]",
+        switches: &["--quick"],
+        valued: &[
+            ("--out", 1, "a file path"),
+            ("--check", 1, "a file path"),
+            ("--diff", 2, "two file paths (old new)"),
+            ("--tolerance", 1, "a fraction in [0, 1)"),
+        ],
+        positional: false,
+    };
+    let args = CLI.parse(argv);
+    let tolerance = args
+        .parsed("--tolerance", |t: &f64| (0.0..1.0).contains(t))
+        .unwrap_or(diff::DEFAULT_TOLERANCE);
 
-    if let Some((old_path, new_path)) = diff_paths {
-        let read = |path: &str| {
-            std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            })
-        };
-        let (old_text, new_text) = (read(&old_path), read(&new_path));
+    if let Some([old_path, new_path]) = args.values("--diff") {
+        let (old_text, new_text) = (read_or_exit(old_path), read_or_exit(new_path));
         match diff::diff(&old_text, &new_text, tolerance) {
             Ok(regressions) if regressions.is_empty() => {
                 println!(
@@ -419,22 +475,18 @@ fn bench(args: &[String]) {
         }
         return;
     }
+    if args.has("--tolerance") {
+        CLI.fail("--tolerance applies only to --diff");
+    }
 
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match cpu_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid benchmark report, {n} case(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid benchmark report: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = args.value("--check") {
+        let validated = cpu_bench::validate(&read_or_exit(path));
+        check_or_exit(path, "benchmark report", "case(s)", validated);
         return;
     }
 
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_cpu_scoring.json");
     let opts = BenchOptions { quick };
     println!(
         "== Measured CPU scoring sweep ({} mode) ==",
@@ -457,11 +509,7 @@ fn bench(args: &[String]) {
     );
     println!("== Fused vs. staged marshaling-tax shmoo ==");
     let fused = cpu_bench::run_fused(&opts);
-    let json = cpu_bench::to_json(&cases, &cache, &fused, &opts);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    write_or_exit(out_path, &cpu_bench::to_json(&cases, &cache, &fused, &opts));
     let worst = cases
         .iter()
         .map(CaseResult::best_speedup)
@@ -479,84 +527,46 @@ fn bench(args: &[String]) {
 /// report instead, and `--trace-out` additionally exports a Perfetto
 /// timeline of the FPGA overload run (per-device lanes with queue-wait,
 /// coalesce, compile, setup/transfer/compute/drain spans).
-fn serve(args: &[String]) {
+fn serve(argv: &[String]) {
     use mlscore_bench::serve_bench::{self, ServeBenchOptions};
     use mlscore_serve::{
         ArrivalProcess, CoalesceConfig, ModelCatalog, QueueConfig, ServeConfig, ServeEngine,
         WorkloadSpec,
     };
 
-    let mut quick = false;
-    let mut out_path = "BENCH_serving.json".to_string();
-    let mut check: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown serve flag '{other}'");
-                eprintln!(
-                    "usage: repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    static CLI: Cli = Cli {
+        usage: "usage: repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]",
+        switches: &["--quick"],
+        valued: &[
+            ("--out", 1, "a file path"),
+            ("--check", 1, "a file path"),
+            ("--trace-out", 1, "a file path"),
+        ],
+        positional: false,
+    };
+    let args = CLI.parse(argv);
 
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match serve_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid serving report, {n} sweep point(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid serving report: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = args.value("--check") {
+        let validated = serve_bench::validate(&read_or_exit(path));
+        check_or_exit(path, "serving report", "sweep point(s)", validated);
         return;
     }
 
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_serving.json");
     println!(
         "== Serving-engine load sweep ({} mode) ==",
         if quick { "quick" } else { "full" }
     );
     let opts = ServeBenchOptions { quick };
     let report = serve_bench::run(&opts);
-    let json = serve_bench::to_json(&report, &opts, None);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    write_or_exit(out_path, &serve_bench::to_json(&report, &opts, None));
     println!(
         "wrote {out_path}: {} sweep point(s) + FPGA overload comparison",
         report.sweep.len()
     );
 
-    if let Some(path) = trace_out {
+    if let Some(path) = args.value("--trace-out") {
         // A traced rerun of the FPGA overload point: the interesting
         // timeline (queue build-up, merged passes, shed requests).
         let engine = ServeEngine::new(
@@ -588,11 +598,7 @@ fn serve(args: &[String]) {
             )
             .expect("the overload trace workload is a fixed valid spec");
         let span_trace = tracer.take();
-        let trace_json = perfetto::to_json(&span_trace);
-        std::fs::write(&path, &trace_json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_or_exit(path, &perfetto::to_json(&span_trace));
         println!(
             "wrote {path}: {} spans (open at ui.perfetto.dev)",
             span_trace.len()
@@ -611,7 +617,7 @@ fn serve(args: &[String]) {
 /// timeline of a small fleet run with a node failure injected — one lane
 /// set per node (`serve@node0`, `serve@node1`) and cross-node flow
 /// arrows for every re-routed request.
-fn fleet(args: &[String]) {
+fn fleet(argv: &[String]) {
     use mlscore_bench::fleet_bench::{self, FleetBenchOptions};
     use mlscore_bench::serve_bench::{self, ServeBenchOptions};
     use mlscore_fleet::{
@@ -619,50 +625,20 @@ fn fleet(args: &[String]) {
     };
     use mlscore_sim::SimDuration;
 
-    let mut quick = false;
-    let mut out_path = "BENCH_serving.json".to_string();
-    let mut check: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown fleet flag '{other}'");
-                eprintln!(
-                    "usage: repro fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    static CLI: Cli = Cli {
+        usage: "usage: repro fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]",
+        switches: &["--quick"],
+        valued: &[
+            ("--out", 1, "a file path"),
+            ("--check", 1, "a file path"),
+            ("--trace-out", 1, "a file path"),
+        ],
+        positional: false,
+    };
+    let args = CLI.parse(argv);
 
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = args.value("--check") {
+        let text = read_or_exit(path);
         let has_fleet = mlscore_telemetry::json::parse(&text)
             .ok()
             .is_some_and(|doc| doc.get("fleet").is_some());
@@ -670,16 +646,13 @@ fn fleet(args: &[String]) {
             eprintln!("{path}: no \"fleet\" block — not a schema-v3 fleet report");
             std::process::exit(1);
         }
-        match serve_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid fleet serving report, {n} sweep point(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid fleet serving report: {e}");
-                std::process::exit(1);
-            }
-        }
+        let validated = serve_bench::validate(&text);
+        check_or_exit(path, "fleet serving report", "sweep point(s)", validated);
         return;
     }
 
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_serving.json");
     println!(
         "== Serving-engine load sweep ({} mode) ==",
         if quick { "quick" } else { "full" }
@@ -688,18 +661,17 @@ fn fleet(args: &[String]) {
     let serve_report = serve_bench::run(&serve_opts);
     println!("== Fleet shmoo: router policy x traffic scenario ==");
     let fleet_report = fleet_bench::run(&FleetBenchOptions { quick });
-    let json = serve_bench::to_json(&serve_report, &serve_opts, Some(&fleet_report));
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    write_or_exit(
+        out_path,
+        &serve_bench::to_json(&serve_report, &serve_opts, Some(&fleet_report)),
+    );
     println!(
         "wrote {out_path}: {} sweep point(s) + {} fleet cell(s)",
         serve_report.sweep.len(),
         fleet_report.cells.len()
     );
 
-    if let Some(path) = trace_out {
+    if let Some(path) = args.value("--trace-out") {
         // A traced rerun of a small fleet under a node failure: per-node
         // lanes plus the cross-node re-route flow arrows.
         let tracer = Tracer::new();
@@ -721,11 +693,7 @@ fn fleet(args: &[String]) {
         let fleet = run_fleet(&config, &scenario, &fleet_bench::node_engine, &tracer)
             .expect("the fleet trace scenario keeps node 0 alive");
         let span_trace = tracer.take();
-        let trace_json = perfetto::to_json(&span_trace);
-        std::fs::write(&path, &trace_json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_or_exit(path, &perfetto::to_json(&span_trace));
         println!(
             "wrote {path}: {} spans, {} re-route(s) (open at ui.perfetto.dev)",
             span_trace.len(),
@@ -740,35 +708,25 @@ fn fleet(args: &[String]) {
 /// and prints the human-readable run report; `--out` additionally writes
 /// the JSON document (`mlscore/run-report/v1`), which is byte-identical
 /// across reruns — CI regenerates it twice and compares.
-fn report(args: &[String]) {
+fn report(argv: &[String]) {
     use mlscore_bench::run_report::{self, RunReportOptions};
 
-    let mut opts = RunReportOptions::default();
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--top" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.top_n = n,
-                _ => {
-                    eprintln!("--top needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown report flag '{other}'");
-                eprintln!("usage: repro report [--quick] [--out FILE] [--top N]");
-                std::process::exit(2);
-            }
-        }
+    static CLI: Cli = Cli {
+        usage: "usage: repro report [--quick] [--out FILE] [--top N]",
+        switches: &["--quick"],
+        valued: &[
+            ("--out", 1, "a file path"),
+            ("--top", 1, "a positive integer"),
+        ],
+        positional: false,
+    };
+    let args = CLI.parse(argv);
+    let mut opts = RunReportOptions {
+        quick: args.has("--quick"),
+        ..RunReportOptions::default()
+    };
+    if let Some(n) = args.parsed("--top", |&n: &usize| n > 0) {
+        opts.top_n = n;
     }
 
     println!(
@@ -777,18 +735,36 @@ fn report(args: &[String]) {
     );
     let report = run_report::run(&opts);
     print!("{}", run_report::to_text(&report, &opts));
-    if let Some(path) = out_path {
-        let json = run_report::to_json(&report, &opts);
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = args.value("--out") {
+        write_or_exit(path, &run_report::to_json(&report, &opts));
         println!(
             "\nwrote {path}: {} window(s), {} alert(s), top-{} slowest",
             report.series.len(),
             report.alerts.len(),
             opts.top_n
         );
+    }
+}
+
+/// `repro ablation [name]`: one study table of [`mlscore_bench::ablation`],
+/// or all of them.
+fn ablation(argv: &[String]) {
+    use mlscore_bench::ablation::STUDIES;
+
+    static CLI: Cli = Cli {
+        usage: "usage: repro ablation [pcie|fpga-mem|gpu|split-depth|gpu-cache|integration]",
+        switches: &[],
+        valued: &[],
+        positional: true,
+    };
+    let args = CLI.parse(argv);
+    match args.positional.as_slice() {
+        [] => STUDIES.iter().for_each(|(_, study)| study()),
+        [name] => match STUDIES.iter().find(|(n, _)| n == name) {
+            Some((_, study)) => study(),
+            None => CLI.fail(&format!("unknown ablation '{name}'")),
+        },
+        _ => CLI.fail("name at most one ablation"),
     }
 }
 
@@ -847,6 +823,9 @@ fn usage() -> String {
                         SLO attainment, budget-burn alerts, and the top-N\n\
                         slowest requests with journal stage breakdowns;\n\
                         --out writes the deterministic JSON document\n\
+       ablation [pcie|fpga-mem|gpu|split-depth|gpu-cache|integration]\n\
+                        print one extension study's table (EXPERIMENTS.md\n\
+                        A1-A3, A5-A7, A10), or all six in that order\n\
        analyze [--json] [--check-baseline] [--write-baseline]\n\
                         run the workspace determinism & hot-path lints\n\
                         (mlscore-analyze; see DESIGN.md section 10)\n\
@@ -873,6 +852,7 @@ fn main() {
         "serve" => serve(&args[2..]),
         "fleet" => fleet(&args[2..]),
         "report" => report(&args[2..]),
+        "ablation" => ablation(&args[2..]),
         "analyze" => std::process::exit(mlscore_analysis::cli::run(&args[2..])),
         "csv" => {
             let dir = args

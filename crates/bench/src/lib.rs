@@ -1,9 +1,12 @@
-//! Benchmark crate: Criterion benches (one per paper figure plus
-//! ablations) and the `repro` binary that regenerates every table/figure.
+//! Benchmark crate: the `repro` binary that regenerates every table and
+//! figure, and the studies and measured benchmarks it drives.
 //!
 //! Run `cargo run -p mlscore-bench --bin repro -- all` to print the full
 //! set, or name a figure: `fig1`, `fig7a`, `fig7b`, `fig8`, `fig9`,
 //! `fig10`, `fig11`, `headlines`, `scheduler`.
+//!
+//! [`ablation`] holds the extension studies no figure covers
+//! (EXPERIMENTS.md A1–A3, A5–A7, A10): `repro ablation [name]`.
 //!
 //! [`cpu_bench`] is the *measured* (wall-clock) counterpart: `repro bench`
 //! sweeps the real CPU scoring kernels and writes `BENCH_cpu_scoring.json`.
@@ -27,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod cpu_bench;
 pub mod diff;
 pub mod fleet_bench;
