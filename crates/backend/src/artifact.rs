@@ -27,7 +27,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mlscore_exec::FlatImage;
-use mlscore_forest::{ModelBundle, ModelStats, QuantizedForest, RandomForest};
+use mlscore_forest::{ModelBundle, ModelStats, RandomForest};
 use mlscore_sim::{Clock, SimDuration, WallClock};
 use mlscore_telemetry::MetricsRegistry;
 
@@ -89,11 +89,9 @@ impl fmt::Display for ArtifactKey {
 pub enum Lowered {
     /// Score the pointer trees directly — no lowering (CPU_SKLearn).
     Reference,
-    /// The Fig. 4b flat node image, heap-encoded for the SIMD lane walker
+    /// The trees encoded as the SIMD lane walker's implicit-heap image
     /// (CPU_ONNX).
     Flat(Arc<FlatImage>),
-    /// The quantized node image.
-    Quantized(Arc<QuantizedForest>),
     /// A backend-private layout; the owning backend downcasts it back.
     Custom(Arc<dyn Any + Send + Sync>),
 }
@@ -103,7 +101,6 @@ impl fmt::Debug for Lowered {
         match self {
             Lowered::Reference => f.write_str("Reference"),
             Lowered::Flat(img) => f.debug_tuple("Flat").field(img).finish(),
-            Lowered::Quantized(q) => f.debug_tuple("Quantized").field(&q.n_features()).finish(),
             Lowered::Custom(_) => f.write_str("Custom(..)"),
         }
     }

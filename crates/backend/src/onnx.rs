@@ -1,7 +1,7 @@
 //! The ONNX-runtime-like CPU backend ("CPU_ONNX" / "CPU_ONNX_52th").
 //!
-//! Functionally, this engine first compiles the forest into the Fig. 4b
-//! flat layout — the same image the FPGA consumes — and scores it with the
+//! Functionally, this engine first compiles the forest's trees into an
+//! implicit-heap image ([`FlatImage`]) and scores it with the
 //! explicit-SIMD lane walker on the shared work-stealing [`ExecPool`]. Its
 //! timing model captures the paper's observation that ONNX "is not
 //! currently optimized for batch scoring": the per-call overhead is small
@@ -147,9 +147,9 @@ impl ScoringBackend for OnnxCpu {
         &self.name
     }
 
-    // Lowering compiles the forest into the heap-encoded flat image once;
-    // the untraced and traced score paths both consume it (the seed built
-    // the image separately in each, doubling the compile on traced runs).
+    // Lowering encodes the trees into the heap image once; the untraced
+    // and traced score paths both consume it (the seed built the image
+    // separately in each, doubling the compile on traced runs).
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
         let image = FlatImage::from_forest(forest, forest.max_depth())?;
         Ok(Lowered::Flat(Arc::new(image)))

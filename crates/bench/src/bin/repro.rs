@@ -310,8 +310,8 @@ fn check_or_exit(path: &str, kind: &str, unit: &str, validated: Result<usize, St
 /// `repro trace [--out FILE] [--warm|--cold] [--fused] [dataset] [trees] [records] [backend]`
 fn trace(argv: &[String]) {
     static CLI: Cli = Cli {
-        usage: "usage: repro trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]\n\
-                backends: cpu sklearn onnx1 gpu gpu-rapids fpga",
+        usage: "usage: repro trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]
+       backends: cpu sklearn onnx1 gpu gpu-rapids fpga",
         switches: &["--warm", "--cold", "--fused"],
         valued: &[("--out", 1, "a file path")],
         positional: true,
@@ -769,68 +769,69 @@ fn ablation(argv: &[String]) {
 }
 
 fn usage() -> String {
-    "usage: repro [target]\n\
-     targets:\n\
-       all              every figure, table, and the scheduler study (default)\n\
-       fig1             best backend by model complexity x data size\n\
-       fig7a            FPGA scoring-time breakdown, 1 record\n\
-       fig7b            FPGA scoring-time breakdown, 1M records\n\
-       fig8             best backend + speedup over CPU (depth 10)\n\
-       fig9             scoring latency curves\n\
-       fig10            scoring throughput curves\n\
-       fig11            end-to-end T-SQL query breakdown\n\
-       headlines        headline ratios from the paper's section IV\n\
-       scheduler        policy regret + latency percentiles (telemetry histograms)\n\
-       trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]\n\
-                        export a Perfetto trace of one simulated query\n\
-                        (defaults: higgs 128 1m fpga, cold; records accept k/m\n\
-                         suffixes; backends: cpu sklearn onnx1 gpu gpu-rapids fpga;\n\
-                         --warm replays an artifact-cache hit: no bundle marshal,\n\
-                         model pre-processing collapsed to a cache probe;\n\
-                         --fused replays the pull-based RecordStream path: no\n\
-                         inbound marshal or data pre-processing stages, only\n\
-                         per-chunk handoff, with per-chunk detail spans)\n\
-       bench [--quick] [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]\n\
-                        measure real CPU kernel throughput (naive seed path vs\n\
-                        the pointer-tree kernel and the SIMD flat-layout walker,\n\
-                        at thread counts the host has cores for) plus a\n\
-                        warm/cold artifact-cache pair and the fused-vs-staged\n\
-                        shmoo, and write BENCH_cpu_scoring.json; --check validates an\n\
-                        existing report instead; --diff compares two reports\n\
-                        cell by cell and exits non-zero on any throughput\n\
-                        regression beyond the relative tolerance (default 25%)\n\
-       serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]\n\
-                        sweep offered load through the discrete-event serving\n\
-                        engine (admission control, micro-batch coalescing,\n\
-                        device contention) with coalescing on vs off, plus an\n\
-                        FPGA-only overload comparison, and write\n\
-                        BENCH_serving.json; --check validates an existing\n\
-                        report; --trace-out exports a Perfetto timeline of\n\
-                        the FPGA overload run (per-device lanes, request\n\
-                        flow arrows from queue wait to device pass)\n\
-       fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]\n\
-                        run the load sweep plus the multi-node fleet shmoo\n\
-                        (router policy x traffic scenario, diurnal\n\
-                        autoscaling pair) and write the schema-v3\n\
-                        BENCH_serving.json with the \"fleet\" block;\n\
-                        --check validates an existing report and requires\n\
-                        the fleet block; --trace-out exports a Perfetto\n\
-                        timeline of a 2-node fleet with a node failure\n\
-                        (per-node lanes, cross-node re-route flow arrows)\n\
-       report [--quick] [--out FILE] [--top N]\n\
-                        run the observed FPGA overload workload and render\n\
-                        the serving run report: windowed metrics, per-class\n\
-                        SLO attainment, budget-burn alerts, and the top-N\n\
-                        slowest requests with journal stage breakdowns;\n\
-                        --out writes the deterministic JSON document\n\
-       ablation [pcie|fpga-mem|gpu|split-depth|gpu-cache|integration]\n\
-                        print one extension study's table (EXPERIMENTS.md\n\
-                        A1-A3, A5-A7, A10), or all six in that order\n\
-       analyze [--json] [--check-baseline] [--write-baseline]\n\
-                        run the workspace determinism & hot-path lints\n\
-                        (mlscore-analyze; see DESIGN.md section 10)\n\
-       csv [dir]        write every figure as CSV (default dir: figures_out)\n\
-       help             this message"
+    "\
+usage: repro [target]
+targets:
+  all              every figure, table, and the scheduler study (default)
+  fig1             best backend by model complexity x data size
+  fig7a            FPGA scoring-time breakdown, 1 record
+  fig7b            FPGA scoring-time breakdown, 1M records
+  fig8             best backend + speedup over CPU (depth 10)
+  fig9             scoring latency curves
+  fig10            scoring throughput curves
+  fig11            end-to-end T-SQL query breakdown
+  headlines        headline ratios from the paper's section IV
+  scheduler        policy regret + latency percentiles (telemetry histograms)
+  trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]
+                   export a Perfetto trace of one simulated query
+                   (defaults: higgs 128 1m fpga, cold; records accept k/m
+                    suffixes; backends: cpu sklearn onnx1 gpu gpu-rapids fpga;
+                    --warm replays an artifact-cache hit: no bundle marshal,
+                    model pre-processing collapsed to a cache probe;
+                    --fused replays the pull-based RecordStream path: no
+                    inbound marshal or data pre-processing stages, only
+                    per-chunk handoff, with per-chunk detail spans)
+  bench [--quick] [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]
+                   measure real CPU kernel throughput (naive seed path vs
+                   the pointer-tree kernel and the SIMD flat-layout walker,
+                   at thread counts the host has cores for) plus a
+                   warm/cold artifact-cache pair and the fused-vs-staged
+                   shmoo, and write BENCH_cpu_scoring.json; --check validates an
+                   existing report instead; --diff compares two reports
+                   cell by cell and exits non-zero on any throughput
+                   regression beyond the relative tolerance (default 25%)
+  serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]
+                   sweep offered load through the discrete-event serving
+                   engine (admission control, micro-batch coalescing,
+                   device contention) with coalescing on vs off, plus an
+                   FPGA-only overload comparison, and write
+                   BENCH_serving.json; --check validates an existing
+                   report; --trace-out exports a Perfetto timeline of
+                   the FPGA overload run (per-device lanes, request
+                   flow arrows from queue wait to device pass)
+  fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]
+                   run the load sweep plus the multi-node fleet shmoo
+                   (router policy x traffic scenario, diurnal
+                   autoscaling pair) and write the schema-v3
+                   BENCH_serving.json with the \"fleet\" block;
+                   --check validates an existing report and requires
+                   the fleet block; --trace-out exports a Perfetto
+                   timeline of a 2-node fleet with a node failure
+                   (per-node lanes, cross-node re-route flow arrows)
+  report [--quick] [--out FILE] [--top N]
+                   run the observed FPGA overload workload and render
+                   the serving run report: windowed metrics, per-class
+                   SLO attainment, budget-burn alerts, and the top-N
+                   slowest requests with journal stage breakdowns;
+                   --out writes the deterministic JSON document
+  ablation [pcie|fpga-mem|gpu|split-depth|gpu-cache|integration]
+                   print one extension study's table (EXPERIMENTS.md
+                   A1-A3, A5-A7, A10), or all six in that order
+  analyze [--json] [--check-baseline] [--write-baseline]
+                   run the workspace determinism & hot-path lints
+                   (mlscore-analyze; see DESIGN.md section 10)
+  csv [dir]        write every figure as CSV (default dir: figures_out)
+  help             this message"
         .to_string()
 }
 

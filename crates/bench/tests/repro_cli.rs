@@ -91,6 +91,19 @@ fn malformed_command_lines_exit_2_with_usage() {
 }
 
 #[test]
+fn help_keeps_description_indentation() {
+    let out = repro(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    // The description under `trace` sits in the description column, not
+    // at the start of the line.
+    let trace_line = "\n                   export a Perfetto trace of one simulated query\n";
+    assert!(stdout(&out).contains(trace_line), "{}", stdout(&out));
+    let out = repro(&["trace", "--frob"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\n       backends: cpu"), "{stderr}");
+}
+
+#[test]
 fn unreadable_files_exit_1() {
     for args in [
         &["bench", "--check", "no/such/file.json"][..],

@@ -1,6 +1,5 @@
-//! Blocked record×tree batch scoring: the pointer-tree kernel, the flat
-//! image the SIMD walker scores, and the scratch and output plumbing both
-//! share.
+//! Blocked record×tree batch scoring: the pointer-tree kernel, and the
+//! scratch and output plumbing it shares with the SIMD walker.
 //!
 //! Each kernel runs on an [`ExecPool`]: the pool hands a task contiguous
 //! row ranges, and the task tiles them into blocks of
@@ -9,9 +8,9 @@
 //! traverses it — the opposite loop order from the seed's record-at-a-time
 //! `score_one`, which streamed every tree's nodes past every record.
 //!
-//! [`score_forest_batch`] walks SKLearn-style pointer trees. The flat
-//! Fig. 4b layout is scored by the explicit-SIMD lane walker in
-//! [`kernel_simd`](crate::kernel_simd) over a prepared [`FlatImage`].
+//! [`score_forest_batch`] walks SKLearn-style pointer trees. ONNX's side
+//! is the explicit-SIMD lane walker in [`kernel_simd`](crate::kernel_simd)
+//! over a prepared heap image, [`FlatImage`](crate::FlatImage).
 //!
 //! All scratch (vote counts, regression accumulators) is thread-local and
 //! reused across blocks and calls: the hot loops allocate nothing.
@@ -31,14 +30,13 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{FlatForest, ForestError, LeafValue, Predictions, RandomForest, Task};
+use mlscore_forest::{LeafValue, Predictions, RandomForest, Task};
 
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
 /// Records the SIMD walker's narrowest lane group moves through a tree in
-/// lockstep; shorter batches and tails take the scalar `FlatTree::score`
-/// path.
+/// lockstep; shorter batches and tails take the one-lane heap step.
 pub const LANES: usize = 8;
 
 /// A shared output slice that parallel tasks write disjoint indices of.
@@ -103,55 +101,6 @@ pub(crate) fn blocks(range: Range<usize>, block: usize) -> impl Iterator<Item = 
         .clone()
         .step_by(block)
         .map(move |lo| lo..(lo + block).min(range.end))
-}
-
-/// A flat forest bundled with its heap-encoded SIMD traversal image.
-///
-/// Re-encoding the Fig. 4b `f32`-word layout into the SIMD walker's
-/// implicit heap is the CPU backend's model-lowering step: it costs one
-/// pass over every node array. Building a `FlatImage` once and scoring it
-/// repeatedly with [`score_simd_batch`](crate::kernel_simd::score_simd_batch)
-/// hoists that pass out of the hot path, which is what the artifact cache
-/// stores per bundle.
-pub struct FlatImage {
-    /// The Fig. 4b node tables: task, feature width, and the scalar tail's
-    /// per-record `FlatTree::score` walk.
-    flat: FlatForest,
-    /// Heap-indexed re-encoding for the explicit-SIMD lane walker.
-    simd: crate::kernel_simd::SimdForest,
-}
-
-impl FlatImage {
-    /// Encodes an already-flattened forest into a reusable image.
-    pub fn from_flat(flat: FlatForest) -> Self {
-        let simd = crate::kernel_simd::SimdForest::build(&flat);
-        Self { flat, simd }
-    }
-
-    /// Flattens a pointer-tree forest at `max_depth` capacity and encodes
-    /// it in one step.
-    pub fn from_forest(forest: &RandomForest, max_depth: usize) -> Result<Self, ForestError> {
-        Ok(Self::from_flat(FlatForest::from_forest(forest, max_depth)?))
-    }
-
-    /// The underlying flat forest (node tables, task, feature width).
-    pub fn flat(&self) -> &FlatForest {
-        &self.flat
-    }
-
-    /// The heap-indexed SIMD traversal image.
-    pub(crate) fn simd(&self) -> &crate::kernel_simd::SimdForest {
-        &self.simd
-    }
-}
-
-impl std::fmt::Debug for FlatImage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlatImage")
-            .field("n_trees", &self.flat.n_trees())
-            .field("n_features", &self.flat.n_features())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Scores a frame against a pointer-tree forest on the pool.

@@ -2,15 +2,16 @@
 //! executor's one flat-layout kernel.
 //!
 //! A pointer-chasing walk loads a node's `left`/`right`/`feature`/
-//! `threshold` words per step and lane, compares, and selects the next
-//! child index. This module removes the child-pointer loads entirely by
-//! re-encoding each Fig. 4b tree into an implicit binary heap:
+//! `threshold` per step and lane, compares, and selects the next child
+//! index. This module removes the child-pointer loads entirely: lowering
+//! ([`FlatImage::from_forest`]) encodes each tree's nodes straight into an
+//! implicit binary heap,
 //!
 //! ```text
-//!   FlatTree (explicit children)        SimdTree (heap re-encode)
-//!   ┌────┬────┬────┬────┐               ft:      [feat, thr] per slot
-//!   │left│rght│feat│ thr│  node i  ==>  payload: f32 per slot
-//!   └────┴────┴────┴────┘               slot i children = 2i+1 / 2i+2
+//!   DecisionTree (explicit children)       SimdTree (heap encoding)
+//!   Decision { feature, threshold,         ft:      [feat, thr] per slot
+//!              left, right }        ==>    payload: f32 per slot
+//!   Leaf(class | value)                    slot i children = 2i+1 / 2i+2
 //! ```
 //!
 //! so one traversal step per lane is: gather `feat`, gather `thr`, gather
@@ -26,22 +27,24 @@
 //! AVX-512 and AVX2 (16–64 lanes in flight via hardware gathers), SSE2
 //! (4-wide compare/select with scalar gathers), and a hand-unrolled
 //! portable u32 fallback. The tier is picked at runtime
-//! ([`SimdLevel::detect`]) and can be forced down with the `MLSCORE_SIMD`
-//! environment override. Rows left over after the last full lane group —
-//! and every batch shorter than [`LANES`] — take the scalar
-//! `FlatTree::score` walk. All tiers are bit-exact with each other and
-//! with the sequential `FlatForest::score_one`, because the compare
-//! (`x <= thr`, ordered-quiet, NaN → right child) and the vote /
-//! ascending-tree-order accumulation folds are identical.
+//! ([`SimdLevel::detect`]). Rows left over after the last full lane group
+//! — and every batch shorter than [`LANES`] — take the one-lane heap step
+//! `walk1`, the portable lane's arithmetic on one record. All tiers are
+//! bit-exact with each other and with the sequential
+//! `FlatForest::score_one`, because the compare (`x <= thr`,
+//! ordered-quiet, NaN → right child) and the vote / ascending-tree-order
+//! accumulation folds are identical.
 //!
-//! Build-time validation (every decision node's feature is in range, heap
-//! arithmetic cannot leave the capacity array) is what licenses the
+//! Build-time validation (every decision node's feature is in range, no
+//! decision node sits on the capacity's last level) is what licenses the
 //! unchecked loads and gathers in the hot loops.
 
-use mlscore_data::TabularFrame;
-use mlscore_forest::{FlatForest, FlatTree, NodeRecord, Predictions, RandomForest, Task};
+use std::ops::Range;
 
-use crate::kernel::{blocks, FlatImage, Scratch, SharedOut, LANES, SCRATCH};
+use mlscore_data::TabularFrame;
+use mlscore_forest::{DecisionTree, ForestError, LeafValue, Node, Predictions, RandomForest, Task};
+
+use crate::kernel::{blocks, SharedOut, LANES, SCRATCH};
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
@@ -84,36 +87,14 @@ impl SimdLevel {
         }
     }
 
-    /// Runtime pick: hardware detection, capped by the `MLSCORE_SIMD`
-    /// environment override (`portable`, `sse2`, `avx2`, or `avx512`).
-    ///
-    /// The override can only *lower* the tier — requesting an unsupported
-    /// one keeps the strongest the host actually has — and unknown values
-    /// are ignored. Tests use it to force the fallback paths; since every
-    /// tier is bit-exact, a stale read is harmless.
+    /// The tier the scoring entry points run at: the strongest the host
+    /// supports. Tests reach the weaker tiers by passing them to
+    /// [`score_simd_batch`] explicitly.
     pub fn detect() -> SimdLevel {
-        let hw = Self::supported();
-        match std::env::var("MLSCORE_SIMD") {
-            Ok(v) => match Self::parse(&v) {
-                Some(forced) => forced.min(hw),
-                None => hw,
-            },
-            Err(_) => hw,
-        }
+        Self::supported()
     }
 
-    /// Parses a tier name as accepted by the `MLSCORE_SIMD` override.
-    pub fn parse(s: &str) -> Option<SimdLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "portable" | "scalar" => Some(SimdLevel::Portable),
-            "sse2" => Some(SimdLevel::Sse2),
-            "avx2" => Some(SimdLevel::Avx2),
-            "avx512" | "avx512f" => Some(SimdLevel::Avx512),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (matches what [`SimdLevel::parse`] accepts).
+    /// Stable lower-case name.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Portable => "portable",
@@ -124,14 +105,70 @@ impl SimdLevel {
     }
 }
 
-/// One tree re-encoded as an implicit heap for the SIMD walker.
+/// A forest lowered to the SIMD walker's heap image: one [`SimdTree`] per
+/// tree, in order, plus the task and feature width.
+///
+/// Encoding every tree into the implicit heap is the CPU backend's
+/// model-lowering step: one pass over every node array. Building a
+/// `FlatImage` once and scoring it repeatedly with [`score_simd_batch`]
+/// hoists that pass out of the hot path, which is what the artifact cache
+/// stores per bundle.
+pub struct FlatImage {
+    trees: Vec<SimdTree>,
+    n_features: usize,
+    task: Task,
+}
+
+impl FlatImage {
+    /// Encodes every tree of `forest` with capacity for `max_depth` levels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ForestError::DepthExceeded`] if any tree is deeper than
+    /// `max_depth`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a decision node references a feature outside
+    /// `0..n_features` — the check runs once here and licenses the
+    /// walkers' unchecked loads.
+    pub fn from_forest(forest: &RandomForest, max_depth: usize) -> Result<Self, ForestError> {
+        let n_features = forest.n_features();
+        let trees = forest
+            .trees()
+            .iter()
+            .map(|t| SimdTree::build(t, max_depth, n_features))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            trees,
+            n_features,
+            task: forest.task(),
+        })
+    }
+
+    /// Number of features the model expects.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+}
+
+impl std::fmt::Debug for FlatImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlatImage")
+            .field("n_trees", &self.trees.len())
+            .field("n_features", &self.n_features)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One tree encoded as an implicit heap for the SIMD walker.
 ///
 /// Slot `i`'s children live at `2i + 1` and `2i + 2`; the arrays span the
 /// full capacity `2^(steps+1) − 1` so `steps` descents from the root can
 /// never index out of bounds. Decision slots carry `[feature,
 /// threshold.to_bits()]` in `ft`; every slot under a leaf carries the
 /// leaf's payload in `payload` (see the module docs for why).
-pub(crate) struct SimdTree {
+struct SimdTree {
     /// Interleaved `[feature, threshold_bits]` per heap slot (`2 × cap`).
     /// Slots that are not live decision nodes keep `feature = 0` — an
     /// always-in-bounds column — and an arbitrary threshold.
@@ -142,68 +179,54 @@ pub(crate) struct SimdTree {
     steps: usize,
 }
 
-/// The per-forest SIMD image: one [`SimdTree`] per flat tree, in order.
-pub(crate) struct SimdForest {
-    pub(crate) trees: Vec<SimdTree>,
-}
-
-impl SimdForest {
-    /// Re-encodes every tree of a flat forest into heap form.
-    ///
-    /// Panics if a decision node references a feature outside
-    /// `0..n_features` — corrupt node tables would already panic the
-    /// bounds-checked scalar walk; here the check runs once at build time
-    /// and licenses the walkers' unchecked loads.
-    pub(crate) fn build(flat: &FlatForest) -> Self {
-        let trees = flat
-            .trees()
-            .iter()
-            .map(|t| SimdTree::build(t, flat.n_features()))
-            .collect();
-        Self { trees }
-    }
-}
-
 impl SimdTree {
-    fn build(tree: &FlatTree, n_features: usize) -> Self {
+    /// Encodes `tree` with capacity for `steps` levels, in one walk over
+    /// its nodes.
+    fn build(tree: &DecisionTree, steps: usize, n_features: usize) -> Result<Self, ForestError> {
         assert!(
             n_features > 0,
             "SIMD image requires at least one feature column"
         );
-        let steps = tree.max_depth();
         let cap = (1usize << (steps + 1)) - 1;
         let mut ft = vec![0u32; 2 * cap];
         let mut payload = vec![0f32; cap];
-        // Re-index from the flat encoding (whatever its node order) into
-        // heap slots by walking the structure: (flat index, heap slot,
-        // depth). Every heap slot is reachable from slot 0, so this visits
-        // and initializes the entire capacity.
+        let nodes = tree.nodes();
+        // Walk the structure as (node index, heap slot, depth); every heap
+        // slot on the last level lies under exactly one leaf, so every
+        // payload a walker can exit on is written.
         let mut stack = vec![(0usize, 0usize, 0usize)];
-        while let Some((fi, h, d)) = stack.pop() {
-            match tree.record(fi) {
-                NodeRecord::Leaf { payload: v } => fill_subtree(&mut payload, h, d, steps, v),
-                // Capacity exhausted at a decision node (impossible for
-                // well-formed encodings, where every path fits in `steps`
-                // levels): stop here and read the node's word 1.
-                NodeRecord::Decision { right, .. } if d == steps => payload[h] = right as f32,
-                NodeRecord::Decision {
-                    left,
-                    right,
+        while let Some((i, h, d)) = stack.pop() {
+            match nodes[i] {
+                Node::Leaf(LeafValue::Class(c)) => {
+                    fill_subtree(&mut payload, h, d, steps, c as f32)
+                }
+                Node::Leaf(LeafValue::Value(v)) => fill_subtree(&mut payload, h, d, steps, v),
+                // A decision node on the last level has children below
+                // the capacity: the tree is deeper than `steps`.
+                Node::Decision { .. } if d == steps => {
+                    return Err(ForestError::DepthExceeded {
+                        depth: tree.depth(),
+                        max_depth: steps,
+                    })
+                }
+                Node::Decision {
                     feature,
                     threshold,
+                    left,
+                    right,
                 } => {
                     assert!(
                         (feature as usize) < n_features,
                         "decision node feature {feature} out of range (model has {n_features})"
                     );
-                    ft[2 * h] = feature;
+                    ft[2 * h] = u32::from(feature);
                     ft[2 * h + 1] = threshold.to_bits();
                     stack.push((left as usize, 2 * h + 1, d + 1));
                     stack.push((right as usize, 2 * h + 2, d + 1));
                 }
             }
         }
-        Self { ft, payload, steps }
+        Ok(Self { ft, payload, steps })
     }
 }
 
@@ -222,10 +245,38 @@ fn fill_subtree(payload: &mut [f32], h: usize, d: usize, steps: usize, v: f32) {
     }
 }
 
+/// Walks one record (row `row`) through one heap-encoded tree: the
+/// portable lane's step on a single lane, for the rows after the last
+/// full lane group.
+// analyze: hot
+#[allow(unsafe_code)]
+#[inline]
+fn walk1(tree: &SimdTree, data: &[f32], nf: usize, row: usize) -> f32 {
+    debug_assert!(data.len() >= (row + 1) * nf);
+    let ft = tree.ft.as_slice();
+    let base = row * nf;
+    let mut idx = 0usize;
+    for _ in 0..tree.steps {
+        // SAFETY: `SimdTree::build` sized `ft` for `steps` descents
+        // (`2i + 2` from depth < steps stays below capacity) and checked
+        // every feature against the model width; `score_simd_batch`
+        // asserted the frame has that width `nf`, and `walk_block` passes
+        // only rows of the frame.
+        unsafe {
+            let f = *ft.get_unchecked(2 * idx) as usize;
+            let t = f32::from_bits(*ft.get_unchecked(2 * idx + 1));
+            let x = *data.get_unchecked(base + f);
+            idx = 2 * idx + 2 - usize::from(x <= t);
+        }
+    }
+    // SAFETY: the final heap index is below capacity (see above).
+    unsafe { *tree.payload.get_unchecked(idx) }
+}
+
 /// Walks `LANES` consecutive records (starting at `row0`) through one
 /// heap-encoded tree in lockstep at the given tier.
 ///
-/// Bit-exact with `FlatTree::score` on each of the lanes' records.
+/// Bit-exact with [`walk1`] on each of the lanes' records.
 // analyze: hot
 #[allow(unsafe_code)]
 #[inline]
@@ -734,133 +785,59 @@ mod x86 {
     }
 }
 
-/// Scores one record block of a classification forest with the SIMD
-/// walker into `votes`.
+/// Walks one record block through every tree of the image, handing each
+/// `(row within the block, leaf payload)` pair to `fold` — a vote
+/// increment for classification, an accumulate for regression.
+///
+/// Trees are visited in ascending order, chunk by chunk, for every row, so
+/// a regression accumulator adds tree outputs in exactly the sequential
+/// fold order.
 // analyze: hot
-#[allow(clippy::too_many_arguments)]
-fn simd_classify_block(
+fn walk_block(
     image: &FlatImage,
     frame: &TabularFrame,
-    rows: std::ops::Range<usize>,
-    n_classes: usize,
+    rows: Range<usize>,
     tree_block: usize,
     level: SimdLevel,
-    s: &mut Scratch,
-    out: &SharedOut<u32>,
+    mut fold: impl FnMut(usize, f32),
 ) {
     let blen = rows.len();
     let nf = frame.n_features();
     let data = frame.as_slice();
-    s.votes.clear();
-    s.votes.resize(blen * n_classes, 0);
-    let chunks = image
-        .simd()
-        .trees
-        .chunks(tree_block)
-        .zip(image.flat().trees().chunks(tree_block));
-    for (schunk, fchunk) in chunks {
+    for chunk in image.trees.chunks(tree_block) {
         let mut k = 0;
         while k + 8 * LANES <= blen {
-            for tree in schunk {
+            for tree in chunk {
                 let leaves = walk64(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    fold(k + l, leaf);
                 }
             }
             k += 8 * LANES;
         }
         while k + 4 * LANES <= blen {
-            for tree in schunk {
+            for tree in chunk {
                 let leaves = walk32(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    fold(k + l, leaf);
                 }
             }
             k += 4 * LANES;
         }
         while k + LANES <= blen {
-            for tree in schunk {
+            for tree in chunk {
                 let leaves = walk8(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    fold(k + l, leaf);
                 }
             }
             k += LANES;
         }
-        for tree in fchunk {
+        for tree in chunk {
             for r in k..blen {
-                let c = tree.score(frame.row(rows.start + r)) as usize;
-                s.votes[r * n_classes + c] += 1;
+                fold(r, walk1(tree, data, nf, rows.start + r));
             }
         }
-    }
-    for r in 0..blen {
-        let counts = &s.votes[r * n_classes..(r + 1) * n_classes];
-        out.write(rows.start + r, RandomForest::majority(counts));
-    }
-}
-
-/// Scores one record block of a regression forest with the SIMD walker.
-// analyze: hot
-fn simd_regress_block(
-    image: &FlatImage,
-    frame: &TabularFrame,
-    rows: std::ops::Range<usize>,
-    tree_block: usize,
-    level: SimdLevel,
-    s: &mut Scratch,
-    out: &SharedOut<f32>,
-) {
-    let blen = rows.len();
-    let nf = frame.n_features();
-    let data = frame.as_slice();
-    let n_trees = image.flat().n_trees() as f32;
-    s.acc.clear();
-    s.acc.resize(blen, 0.0);
-    // Chunks ascend and trees ascend within each chunk, so each row's
-    // accumulator adds tree outputs in exactly the sequential fold order.
-    let chunks = image
-        .simd()
-        .trees
-        .chunks(tree_block)
-        .zip(image.flat().trees().chunks(tree_block));
-    for (schunk, fchunk) in chunks {
-        let mut k = 0;
-        while k + 8 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk64(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += 8 * LANES;
-        }
-        while k + 4 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk32(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += 4 * LANES;
-        }
-        while k + LANES <= blen {
-            for tree in schunk {
-                let leaves = walk8(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += LANES;
-        }
-        for tree in fchunk {
-            for r in k..blen {
-                s.acc[r] += tree.score(frame.row(rows.start + r));
-            }
-        }
-    }
-    for r in 0..blen {
-        out.write(rows.start + r, s.acc[r] / n_trees);
     }
 }
 
@@ -873,7 +850,9 @@ fn simd_regress_block(
 ///
 /// # Panics
 ///
-/// Panics if the frame's feature count differs from the model's.
+/// Panics if the frame's feature count differs from the model's, or if
+/// `level` is stronger than [`SimdLevel::supported`] — its walkers would
+/// execute instructions the host lacks.
 pub fn score_simd_batch(
     image: &FlatImage,
     frame: &TabularFrame,
@@ -881,47 +860,71 @@ pub fn score_simd_batch(
     cfg: &RunConfig,
     level: SimdLevel,
 ) -> (Predictions, RunReport) {
-    let forest = image.flat();
     assert_eq!(
         frame.n_features(),
-        forest.n_features(),
+        image.n_features,
         "frame/model feature width mismatch: frame has {} features, model expects {}",
         frame.n_features(),
-        forest.n_features()
+        image.n_features
+    );
+    assert!(
+        level <= SimdLevel::supported(),
+        "SIMD tier {} is not supported on this host",
+        level.name()
     );
     let n = frame.n_rows();
-    match forest.task() {
+    match image.task {
         Task::Classification { n_classes } => {
             let n_classes = n_classes as usize;
             let mut out = vec![0u32; n];
             let shared = SharedOut::new(&mut out);
             let report = pool.run(n, cfg, &|_w, range| {
                 SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
+                    let votes = &mut s.borrow_mut().votes;
                     for rows in blocks(range.clone(), cfg.record_block) {
-                        simd_classify_block(
+                        votes.clear();
+                        votes.resize(rows.len() * n_classes, 0);
+                        walk_block(
                             image,
                             frame,
-                            rows,
-                            n_classes,
+                            rows.clone(),
                             cfg.tree_block,
                             level,
-                            s,
-                            &shared,
+                            |r, leaf| {
+                                votes[r * n_classes + leaf as usize] += 1;
+                            },
                         );
+                        for (r, counts) in votes.chunks_exact(n_classes).enumerate() {
+                            shared.write(rows.start + r, RandomForest::majority(counts));
+                        }
                     }
                 });
             });
             (Predictions::Classes(out), report)
         }
         Task::Regression => {
+            let n_trees = image.trees.len() as f32;
             let mut out = vec![0f32; n];
             let shared = SharedOut::new(&mut out);
             let report = pool.run(n, cfg, &|_w, range| {
                 SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
+                    let acc = &mut s.borrow_mut().acc;
                     for rows in blocks(range.clone(), cfg.record_block) {
-                        simd_regress_block(image, frame, rows, cfg.tree_block, level, s, &shared);
+                        acc.clear();
+                        acc.resize(rows.len(), 0.0);
+                        walk_block(
+                            image,
+                            frame,
+                            rows.clone(),
+                            cfg.tree_block,
+                            level,
+                            |r, leaf| {
+                                acc[r] += leaf;
+                            },
+                        );
+                        for (r, &sum) in acc.iter().enumerate() {
+                            shared.write(rows.start + r, sum / n_trees);
+                        }
                     }
                 });
             });
@@ -979,7 +982,7 @@ pub fn score_auto_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_forest::{ForestConfig, RandomForest};
+    use mlscore_forest::{FlatForest, ForestConfig, RandomForest};
 
     fn frame(rows: usize, nf: usize, seed: u64) -> TabularFrame {
         let data: Vec<f32> = (0..rows * nf)
@@ -1013,8 +1016,8 @@ mod tests {
     }
 
     /// The sequential `FlatForest::score_one` reference, as raw bits.
-    fn sequential(image: &FlatImage, f: &TabularFrame) -> Vec<u32> {
-        let flat = image.flat();
+    fn sequential(forest: &RandomForest, depth: usize, f: &TabularFrame) -> Vec<u32> {
+        let flat = FlatForest::from_forest(forest, depth).unwrap();
         f.rows()
             .map(|r| match flat.task() {
                 Task::Classification { .. } => flat.score_one(r) as u32,
@@ -1023,17 +1026,20 @@ mod tests {
             .collect()
     }
 
-    /// Scores `f` at every tier the host supports and asserts each one
-    /// reproduces the sequential reference bit for bit.
+    /// Lowers `forest` at capacity `depth`, scores `f` at every tier the
+    /// host supports, and asserts each one reproduces the sequential
+    /// reference bit for bit.
     fn assert_every_level_exact(
-        image: &FlatImage,
+        forest: &RandomForest,
+        depth: usize,
         f: &TabularFrame,
         pool: &ExecPool,
         cfg: &RunConfig,
     ) {
-        let want = sequential(image, f);
+        let image = FlatImage::from_forest(forest, depth).unwrap();
+        let want = sequential(forest, depth, f);
         for level in levels() {
-            let (simd, report) = score_simd_batch(image, f, pool, cfg, level);
+            let (simd, report) = score_simd_batch(&image, f, pool, cfg, level);
             assert_eq!(bits(&simd), want, "{} rows, level {level:?}", f.n_rows());
             assert_eq!(report.rows(), f.n_rows());
         }
@@ -1043,26 +1049,24 @@ mod tests {
     fn every_level_matches_sequential_classification() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
-        let image = FlatImage::from_forest(&forest, 7).unwrap();
         let cfg = RunConfig::for_threads(4)
             .with_record_block(32)
             .with_tree_block(5);
-        assert_every_level_exact(&image, &frame(333, 5, 1), &ExecPool::new(4), &cfg);
+        assert_every_level_exact(&forest, 7, &frame(333, 5, 1), &ExecPool::new(4), &cfg);
     }
 
     #[test]
     fn every_level_matches_sequential_regression_bit_exact() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
-        let image = FlatImage::from_forest(&forest, 6).unwrap();
         let cfg = RunConfig::for_threads(3)
             .with_record_block(48)
             .with_tree_block(4);
-        assert_every_level_exact(&image, &frame(203, 4, 7), &ExecPool::new(3), &cfg);
+        assert_every_level_exact(&forest, 6, &frame(203, 4, 7), &ExecPool::new(3), &cfg);
     }
 
     #[test]
-    fn sparse_trained_tree_heap_reencode_matches_scalar() {
+    fn sparse_trained_tree_heap_encoding_matches_scalar() {
         // Trained (non-full) trees exercise the leaf payload propagation:
         // most leaves sit far above the capacity depth.
         use mlscore_forest::{ForestBuilder, TrainOptions};
@@ -1080,10 +1084,10 @@ mod tests {
         )
         .train_classifier(train.as_slice(), nf, &y, 3)
         .unwrap();
-        let image = FlatImage::from_forest(&forest, 6).unwrap();
         let f = frame(100, nf, 3);
         let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
-        assert_every_level_exact(&image, &f, &pool, &cfg);
+        assert_every_level_exact(&forest, 6, &f, &pool, &cfg);
+        let image = FlatImage::from_forest(&forest, 6).unwrap();
         let (preds, _) = score_simd_batch(&image, &f, &pool, &cfg, SimdLevel::detect());
         assert_eq!(preds, forest.predict_batch(f.as_slice()));
     }
@@ -1092,36 +1096,51 @@ mod tests {
     fn short_and_empty_batches() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(4, 3, 2).with_depth(4), 1);
-        let image = FlatImage::from_forest(&forest, 4).unwrap();
         let pool = ExecPool::new(2);
         for rows in [0usize, 1, 7, 8, 9, 15, 16, 17] {
             let f = frame(rows, 3, rows as u64);
-            assert_every_level_exact(&image, &f, &pool, &RunConfig::default());
+            assert_every_level_exact(&forest, 4, &f, &pool, &RunConfig::default());
         }
     }
 
     #[test]
     fn depth_zero_forest() {
         let forest = RandomForest::synthetic_full(&ForestConfig::regression(3, 2).with_depth(0), 2);
-        let image = FlatImage::from_forest(&forest, 0).unwrap();
         let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
-        assert_every_level_exact(&image, &frame(33, 2, 8), &pool, &cfg);
+        assert_every_level_exact(&forest, 0, &frame(33, 2, 8), &pool, &cfg);
+    }
+
+    #[test]
+    fn too_deep_tree_is_rejected_at_lowering() {
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(2, 3, 2).with_depth(5), 4);
+        let err = FlatImage::from_forest(&forest, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            ForestError::DepthExceeded {
+                depth: 5,
+                max_depth: 4
+            }
+        ));
     }
 
     #[test]
     fn nan_features_follow_scalar_semantics() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(6, 4, 3).with_depth(5), 13);
-        let image = FlatImage::from_forest(&forest, 5).unwrap();
-        let mut data = vec![0.4f32; 24 * 4];
-        for (i, v) in data.iter_mut().enumerate() {
-            if i % 5 == 0 {
-                *v = f32::NAN;
-            }
-        }
-        let f = TabularFrame::from_rows(data, 4).unwrap();
         let (pool, cfg) = (ExecPool::new(2), RunConfig::for_threads(2));
-        assert_every_level_exact(&image, &f, &pool, &cfg);
+        // Row counts with a 1–7 row tail after every lane-group stride, so
+        // NaN rows reach the one-lane tail walk too.
+        for rows in [3usize, 24, 3 * LANES + 5, 8 * LANES + 1, 12 * LANES + 7] {
+            let mut data = vec![0.4f32; rows * 4];
+            for (i, v) in data.iter_mut().enumerate() {
+                if i % 5 == 0 {
+                    *v = f32::NAN;
+                }
+            }
+            let f = TabularFrame::from_rows(data, 4).unwrap();
+            assert_every_level_exact(&forest, 5, &f, &pool, &cfg);
+        }
     }
 
     #[test]
@@ -1134,43 +1153,12 @@ mod tests {
             score_auto_batch(&image, &f, &ExecPool::new(2), &RunConfig::for_threads(2));
         assert_eq!(choice.kernel.name(), "simd");
         assert_eq!(choice.level, SimdLevel::detect());
-        assert_eq!(bits(&preds), sequential(&image, &f));
+        assert_eq!(bits(&preds), sequential(&forest, 6, &f));
         assert_eq!(report.rows(), 77);
     }
 
     #[test]
-    #[ignore = "timing probe, run manually with --release"]
-    fn throughput_probe_128_trees_depth10() {
-        use std::time::Instant;
-        let forest = RandomForest::synthetic_full(
-            &ForestConfig::classification(128, 4, 3).with_depth(10),
-            42,
-        );
-        let image = FlatImage::from_forest(&forest, 10).unwrap();
-        let f = frame(100_000, 4, 1);
-        let pool = ExecPool::new(1);
-        let cfg = RunConfig::for_threads(1);
-        for level in levels() {
-            score_simd_batch(&image, &f, &pool, &cfg, level); // warm
-            let t0 = Instant::now();
-            score_simd_batch(&image, &f, &pool, &cfg, level);
-            let dt = t0.elapsed().as_secs_f64();
-            println!("{:>10}: {:>10.0} rec/s", level.name(), 100_000.0 / dt);
-        }
-    }
-
-    #[test]
-    fn level_parse_and_detect_override() {
-        assert_eq!(SimdLevel::parse("avx2"), Some(SimdLevel::Avx2));
-        assert_eq!(SimdLevel::parse("avx512"), Some(SimdLevel::Avx512));
-        assert_eq!(SimdLevel::parse(" SSE2 "), Some(SimdLevel::Sse2));
-        assert_eq!(SimdLevel::parse("portable"), Some(SimdLevel::Portable));
-        assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Portable));
-        assert_eq!(SimdLevel::parse("avx1024"), None);
-        for l in levels() {
-            assert_eq!(SimdLevel::parse(l.name()), Some(l));
-        }
-        // The override can only lower the tier.
-        assert!(SimdLevel::detect() <= SimdLevel::supported());
+    fn detect_is_the_strongest_supported_tier() {
+        assert_eq!(SimdLevel::detect(), SimdLevel::supported());
     }
 }

@@ -10,13 +10,15 @@
 //!
 //! * [`kernel::score_forest_batch`] walks SKLearn-style pointer trees in
 //!   blocked record×tree tiles;
-//! * [`score_simd_batch`] walks the Fig. 4b flat layout (ONNX's side),
-//!   prepared once as a [`FlatImage`], with an explicit-SIMD lane walker
-//!   at the host's [`SimdLevel`]. [`score_auto_batch`] and
-//!   [`score_stream`] run it at the detected tier.
+//! * [`score_simd_batch`] is ONNX's side: lowering encodes the trees once
+//!   into a [`FlatImage`], an implicit-heap image with no child pointers,
+//!   and an explicit-SIMD lane walker scores it at the host's
+//!   [`SimdLevel`]. Rows past the last full lane group take a one-lane
+//!   step over the same image. [`score_auto_batch`] and [`score_stream`]
+//!   run it at the detected tier.
 //!
 //! Both keep per-thread reusable vote scratch and are bit-exact against
-//! the corresponding sequential `score_one`/`predict_one` path: vote
+//! the sequential `predict_one` / Fig. 4b `FlatForest::score_one` paths: vote
 //! counts are commutative integer adds, and regression sums accumulate in
 //! ascending tree order — the same floating-point fold the sequential
 //! path performs.
@@ -49,8 +51,10 @@ pub mod pool;
 pub mod report;
 pub mod stream;
 
-pub use kernel::{score_forest_batch, FlatImage};
-pub use kernel_simd::{score_auto_batch, score_simd_batch, Kernel, KernelChoice, SimdLevel};
+pub use kernel::score_forest_batch;
+pub use kernel_simd::{
+    score_auto_batch, score_simd_batch, FlatImage, Kernel, KernelChoice, SimdLevel,
+};
 pub use pool::{ExecPool, RunConfig};
 pub use report::{RunReport, WorkerReport};
 pub use stream::{score_stream, StreamReport};

@@ -15,8 +15,7 @@
 use mlscore_data::{RecordStream, TabularFrame};
 use mlscore_forest::Predictions;
 
-use crate::kernel::FlatImage;
-use crate::kernel_simd::{score_simd_batch, SimdLevel};
+use crate::kernel_simd::{score_simd_batch, FlatImage, SimdLevel};
 use crate::pool::{ExecPool, RunConfig};
 
 /// Summary of one [`score_stream`] run.
@@ -72,7 +71,7 @@ pub fn score_stream(
         }
     }
     let preds = out.unwrap_or_else(|| {
-        let empty = TabularFrame::with_capacity(0, image.flat().n_features());
+        let empty = TabularFrame::with_capacity(0, image.n_features());
         score_simd_batch(image, &empty, pool, cfg, level).0
     });
     (preds, report)

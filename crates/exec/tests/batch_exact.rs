@@ -1,9 +1,10 @@
 //! Property tests: the parallel batch kernels — the blocked pointer-tree
-//! kernel and the SIMD lane walker over the flat layout, at every tier the
+//! kernel and the SIMD lane walker over the heap image, at every tier the
 //! host supports — are bit-exact with their sequential references across
 //! thread counts (1, 2, 7, and the paper's 52), record/tree block sizes,
-//! both tasks (including majority-vote tie-breaking), and degenerate
-//! batches (empty and single-record frames).
+//! image capacities at and above the trees' depth, both tasks (including
+//! majority-vote tie-breaking), and degenerate batches (empty and
+//! single-record frames).
 
 use std::sync::OnceLock;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 use mlscore_data::TabularFrame;
 use mlscore_exec::{kernel, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
-use mlscore_forest::{ForestConfig, RandomForest};
+use mlscore_forest::{FlatForest, ForestConfig, RandomForest};
 
 /// Thread counts exercised for every case: serial, small, odd (uneven
 /// sharding), and the paper's 52-thread Xeon configuration.
@@ -50,6 +51,12 @@ fn frame(rows: usize, n_features: usize, seed: u64) -> TabularFrame {
     TabularFrame::from_rows(data, n_features).unwrap()
 }
 
+/// Image capacities for a forest of depth `depth`: exact, and two levels
+/// deeper, so leaf payloads propagate down past every leaf.
+fn capacities(depth: usize) -> [usize; 2] {
+    [depth, depth + 2]
+}
+
 /// Each pool paired with a matching-width run configuration.
 fn sweep(
     record_block: usize,
@@ -86,18 +93,29 @@ proptest! {
             &ForestConfig::classification(trees, n_features, n_classes).with_depth(depth),
             model_seed,
         );
-        let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
         let f = frame(rows, n_features, data_seed);
         let forest_ref = forest.predict_batch(f.as_slice());
-        let flat_ref: Vec<u32> = f.rows().map(|r| image.flat().score_one(r) as u32).collect();
         for (pool, cfg) in sweep(record_block, tree_block) {
             let (preds, report) = kernel::score_forest_batch(&forest, &f, pool, &cfg);
             prop_assert_eq!(&preds, &forest_ref, "forest kernel, {} threads", cfg.threads);
             prop_assert_eq!(report.rows(), rows);
-            for level in levels() {
-                let (preds, report) = score_simd_batch(&image, &f, pool, &cfg, level);
-                prop_assert_eq!(preds.as_classes().unwrap(), flat_ref.as_slice());
-                prop_assert_eq!(report.rows(), rows);
+        }
+        for capacity in capacities(forest.max_depth()) {
+            let image = FlatImage::from_forest(&forest, capacity).unwrap();
+            let flat = FlatForest::from_forest(&forest, capacity).unwrap();
+            let flat_ref: Vec<u32> = f.rows().map(|r| flat.score_one(r) as u32).collect();
+            for (pool, cfg) in sweep(record_block, tree_block) {
+                for level in levels() {
+                    let (preds, report) = score_simd_batch(&image, &f, pool, &cfg, level);
+                    prop_assert_eq!(
+                        preds.as_classes().unwrap(),
+                        flat_ref.as_slice(),
+                        "simd/{} capacity {}",
+                        level.name(),
+                        capacity
+                    );
+                    prop_assert_eq!(report.rows(), rows);
+                }
             }
         }
     }
@@ -119,7 +137,6 @@ proptest! {
             &ForestConfig::regression(trees, n_features).with_depth(depth),
             model_seed,
         );
-        let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
         let f = frame(rows, n_features, data_seed);
         let forest_ref: Vec<u32> = forest
             .predict_batch(f.as_slice())
@@ -128,17 +145,29 @@ proptest! {
             .iter()
             .map(|v| v.to_bits())
             .collect();
-        let flat_ref: Vec<u32> = f.rows().map(|r| image.flat().score_one(r).to_bits()).collect();
         for (pool, cfg) in sweep(record_block, tree_block) {
             let (preds, _) = kernel::score_forest_batch(&forest, &f, pool, &cfg);
             let got: Vec<u32> =
                 preds.as_values().unwrap().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &forest_ref);
-            for level in levels() {
-                let (preds, _) = score_simd_batch(&image, &f, pool, &cfg, level);
-                let got: Vec<u32> =
-                    preds.as_values().unwrap().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&got, &flat_ref, "simd/{}", level.name());
+        }
+        for capacity in capacities(forest.max_depth()) {
+            let image = FlatImage::from_forest(&forest, capacity).unwrap();
+            let flat = FlatForest::from_forest(&forest, capacity).unwrap();
+            let flat_ref: Vec<u32> = f.rows().map(|r| flat.score_one(r).to_bits()).collect();
+            for (pool, cfg) in sweep(record_block, tree_block) {
+                for level in levels() {
+                    let (preds, _) = score_simd_batch(&image, &f, pool, &cfg, level);
+                    let got: Vec<u32> =
+                        preds.as_values().unwrap().iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(
+                        &got,
+                        &flat_ref,
+                        "simd/{} capacity {}",
+                        level.name(),
+                        capacity
+                    );
+                }
             }
         }
     }

@@ -2,8 +2,8 @@
 //! supports must be bit-exact with the sequential pointer-tree reference —
 //! over the paper's dataset shapes (iris-like and HIGGS-like), forest
 //! sizes {1, 8, 128}, full and leaf-capped (trained-looking) trees,
-//! batch-edge record counts {0, 1, odd, LANES±1}, multiple pool widths,
-//! and the `MLSCORE_SIMD` env-forced fallback tiers.
+//! batch-edge record counts {0, 1, odd, LANES±1}, and multiple pool
+//! widths.
 
 use std::sync::OnceLock;
 
@@ -132,37 +132,6 @@ fn regression_kernels_bit_exact_at_batch_edges() {
             assert_all_tiers_exact(&forest, &frame, &what);
         }
     }
-}
-
-/// `MLSCORE_SIMD` forces the fallback tiers: every forced level must (a)
-/// actually take effect in [`SimdLevel::detect`], (b) never exceed the
-/// hardware, and (c) stay bit-exact with the reference. This test owns
-/// the env var; no other test in this binary reads it.
-#[test]
-fn env_forced_fallback_levels_stay_bit_exact() {
-    let forest =
-        RandomForest::synthetic_full(&ForestConfig::classification(8, 4, 3).with_depth(6), 31);
-    let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
-    let frame = shaped_frame("iris", 2 * kernel::LANES + 5);
-    let reference = bits(&forest.predict_batch(frame.as_slice()));
-    let pool = ExecPool::new(2);
-    let cfg = RunConfig::for_threads(2);
-
-    let hw = SimdLevel::supported();
-    for forced in ["portable", "sse2", "avx2", "avx512"] {
-        std::env::set_var("MLSCORE_SIMD", forced);
-        let detected = SimdLevel::detect();
-        // The override can only lower the tier, never raise it.
-        assert!(detected <= hw, "forced {forced} exceeded hardware");
-        assert_eq!(detected, SimdLevel::parse(forced).unwrap().min(hw));
-        let (preds, _) = score_simd_batch(&image, &frame, &pool, &cfg, detected);
-        assert_eq!(bits(&preds), reference, "forced {forced}");
-    }
-    // Unknown values are ignored, not errors.
-    std::env::set_var("MLSCORE_SIMD", "quantum");
-    assert_eq!(SimdLevel::detect(), hw);
-    std::env::remove_var("MLSCORE_SIMD");
-    assert_eq!(SimdLevel::detect(), hw);
 }
 
 proptest! {

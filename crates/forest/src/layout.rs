@@ -4,8 +4,8 @@
 //! are `[left, right, attribute, value]`; for a leaf node the first word is
 //! negative and the second holds the outcome (class id, or the value for
 //! regression). The FPGA inference engine reads trees in exactly this format
-//! from its per-PE tree memories, and the ONNX-like CPU backend scores over
-//! it directly.
+//! from its per-PE tree memories, and `FlatForest::score_one` is the
+//! sequential reference the executor's CPU walker is tested against.
 //!
 //! The paper sizes each tree memory for a *full* binary tree with no missing
 //! nodes ("each tree consumes a memory footprint equaling 2^10 words" for
@@ -26,31 +26,6 @@ pub const NODE_WORDS: usize = 4;
 
 /// Bytes per node record.
 pub const NODE_BYTES: usize = NODE_WORDS * 4;
-
-/// One flat node record decoded from its four-word encoding — the typed
-/// view layout builders (such as the executor's SIMD heap image) consume
-/// instead of re-parsing the raw words themselves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NodeRecord {
-    /// A decision record: `x[feature] <= threshold` selects `left`,
-    /// otherwise `right`.
-    Decision {
-        /// Left-child record index.
-        left: u32,
-        /// Right-child record index.
-        right: u32,
-        /// Feature column tested.
-        feature: u32,
-        /// Split threshold.
-        threshold: f32,
-    },
-    /// A leaf record carrying its raw outcome word (class id as `f32` for
-    /// classification, the value for regression).
-    Leaf {
-        /// The outcome word.
-        payload: f32,
-    },
-}
 
 /// A decision tree encoded in the Fig. 4b flat format, padded to a
 /// power-of-two record capacity.
@@ -162,41 +137,6 @@ impl FlatTree {
     /// software scorer touches).
     pub fn live_bytes(&self) -> usize {
         self.live_records * NODE_BYTES
-    }
-
-    /// Decodes one node record (live or padding) into its typed view.
-    ///
-    /// Padding records decode as sentinel leaves, exactly as the PE
-    /// datapath would read them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= capacity_records()`.
-    pub fn record(&self, i: usize) -> NodeRecord {
-        let w = &self.words[i * NODE_WORDS..(i + 1) * NODE_WORDS];
-        if w[0] < 0.0 {
-            NodeRecord::Leaf { payload: w[1] }
-        } else {
-            NodeRecord::Decision {
-                left: w[0] as u32,
-                right: w[1] as u32,
-                feature: w[2] as u32,
-                threshold: w[3],
-            }
-        }
-    }
-
-    /// Iterates the decoded records of the whole padded image, in index
-    /// order (padding decodes as sentinel leaves).
-    pub fn records(&self) -> impl Iterator<Item = NodeRecord> + '_ {
-        (0..self.capacity_records()).map(|i| self.record(i))
-    }
-
-    /// Number of leaf records among the live (non-padding) records.
-    pub fn n_live_leaves(&self) -> usize {
-        (0..self.live_records)
-            .filter(|&i| matches!(self.record(i), NodeRecord::Leaf { .. }))
-            .count()
     }
 
     /// Scores one record, returning the raw outcome word (class id as `f32`
@@ -557,41 +497,6 @@ mod tests {
         .unwrap();
         assert_eq!(small.footprint_bytes(), 128 * NODE_BYTES);
         assert_eq!(big.footprint_bytes(), 128 * 2048 * NODE_BYTES);
-    }
-
-    #[test]
-    fn record_view_matches_raw_words() {
-        let cfg = ForestConfig::classification(1, 5, 3).with_depth(6);
-        let forest = RandomForest::synthetic_full(&cfg, 21);
-        let flat = FlatTree::from_tree(&forest.trees()[0], 7).unwrap();
-        let mut leaves = 0usize;
-        for (i, rec) in flat.records().enumerate() {
-            let base = i * NODE_WORDS;
-            match rec {
-                NodeRecord::Decision {
-                    left,
-                    right,
-                    feature,
-                    threshold,
-                } => {
-                    assert_eq!(left as f32, flat.words()[base]);
-                    assert_eq!(right as f32, flat.words()[base + 1]);
-                    assert_eq!(feature as f32, flat.words()[base + 2]);
-                    assert_eq!(threshold.to_bits(), flat.words()[base + 3].to_bits());
-                }
-                NodeRecord::Leaf { payload } => {
-                    assert!(flat.words()[base] < 0.0);
-                    assert_eq!(payload.to_bits(), flat.words()[base + 1].to_bits());
-                    if i < flat.live_records() {
-                        leaves += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(flat.n_live_leaves(), leaves);
-        // A full depth-6 tree has 64 leaves and 63 decisions.
-        assert_eq!(leaves, 64);
-        assert_eq!(flat.live_records(), 127);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 pub mod builder;
 pub mod error;
 pub mod forest;
-pub mod gbdt;
 pub mod importance;
 pub mod layout;
 pub mod metrics;
@@ -42,9 +41,8 @@ pub mod tree;
 pub use builder::{ForestBuilder, SplitCriterion, TrainOptions};
 pub use error::ForestError;
 pub use forest::{ForestConfig, Prediction, Predictions, RandomForest, Task};
-pub use gbdt::{GbTask, GradientBoost, GradientBoostConfig};
 pub use importance::TrainedModel;
-pub use layout::{FlatForest, FlatTree, NodeRecord, NODE_WORDS};
+pub use layout::{FlatForest, FlatTree, NODE_WORDS};
 pub use node::{LeafValue, Node};
 pub use quant::{QuantScheme, QuantizedForest, QuantizedTree};
 pub use serialize::ModelBundle;
