@@ -12,8 +12,8 @@ cargo test -q --workspace
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== workspace lints (repro analyze --check-baseline) =="
 # The determinism & hot-path lint pass (DESIGN.md sections 10 and 15): the

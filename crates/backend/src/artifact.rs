@@ -146,7 +146,8 @@ impl CompiledModel {
         &self.forest
     }
 
-    /// Shape statistics of the source model (for `estimate_prepared`).
+    /// Shape statistics of the source model (what
+    /// [`ScoringBackend::estimate_traced`] prices).
     pub fn stats(&self) -> &ModelStats {
         &self.stats
     }
@@ -196,8 +197,8 @@ impl CompiledModel {
     }
 }
 
-/// Measured cost of the two compile sub-steps, on the timeline of the
-/// [`Clock`] that timed them. Zero on a cache hit.
+/// Measured wall-clock cost of the two compile sub-steps. Zero on a cache
+/// hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrepareTiming {
     /// Time spent in [`ModelBundle::deserialize`].
@@ -233,9 +234,7 @@ pub fn compile<B: ScoringBackend + ?Sized>(
 
 /// [`compile`], additionally reporting how long each sub-step took so the
 /// pipeline can attribute cold-path compile spans. Timing comes from
-/// [`WallClock`] — call this only at the `repro`/bench measurement
-/// boundary; everything else should inject a clock via
-/// [`compile_timed_with`] or [`ArtifactCache::with_clock`].
+/// [`WallClock`]: the compile pass sits at the measurement boundary.
 ///
 /// # Errors
 ///
@@ -244,21 +243,7 @@ pub fn compile_timed<B: ScoringBackend + ?Sized>(
     backend: &B,
     bundle: &ModelBundle,
 ) -> Result<(Arc<CompiledModel>, PrepareTiming), BackendError> {
-    compile_timed_with(backend, bundle, &WallClock::new())
-}
-
-/// [`compile_timed`] with an injected time source, so callers that must
-/// stay deterministic (tests, the serving simulation) can time the pass on
-/// a [`ManualClock`](mlscore_sim::ManualClock).
-///
-/// # Errors
-///
-/// Fails exactly when [`compile`] fails.
-pub fn compile_timed_with<B: ScoringBackend + ?Sized>(
-    backend: &B,
-    bundle: &ModelBundle,
-    clock: &dyn Clock,
-) -> Result<(Arc<CompiledModel>, PrepareTiming), BackendError> {
+    let clock = WallClock::new();
     let t0 = clock.now();
     let forest = bundle.deserialize().map_err(BackendError::from)?;
     let deserialize = clock.now().duration_since(t0);
@@ -362,7 +347,6 @@ pub struct ArtifactCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
     metrics: Option<Arc<MetricsRegistry>>,
-    clock: Arc<dyn Clock>,
 }
 
 impl fmt::Debug for ArtifactCache {
@@ -387,7 +371,6 @@ impl ArtifactCache {
             inner: Mutex::new(CacheInner::default()),
             capacity,
             metrics: None,
-            clock: Arc::new(WallClock::new()),
         }
     }
 
@@ -395,14 +378,6 @@ impl ArtifactCache {
     /// [`METRIC_HITS`], [`METRIC_MISSES`], and [`METRIC_EVICTIONS`].
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Replaces the time source that stamps [`PrepareTiming`] on misses.
-    /// Defaults to [`WallClock`] (the cache sits at the measurement
-    /// boundary); inject a manual clock for deterministic tests.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -468,7 +443,7 @@ impl ArtifactCache {
         // Compile outside the lock: misses on distinct bundles proceed in
         // parallel. A racing miss on the same key wastes one compile but
         // stays correct — last insert wins and both callers hold valid Arcs.
-        let (model, timing) = compile_timed_with(backend, bundle, self.clock.as_ref())?;
+        let (model, timing) = compile_timed(backend, bundle)?;
         let evicted = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.tick += 1;

@@ -27,8 +27,8 @@ pub mod sklearn;
 pub mod traits;
 
 pub use artifact::{
-    artifact_key, compile, compile_timed, compile_timed_with, ArtifactCache, ArtifactKey,
-    CacheOutcome, CacheStats, CompiledModel, Lowered, PrepareTiming,
+    artifact_key, compile, compile_timed, ArtifactCache, ArtifactKey, CacheOutcome, CacheStats,
+    CompiledModel, Lowered, PrepareTiming,
 };
 pub use cost::{parallel_efficiency, CpuSpec};
 pub use error::BackendError;

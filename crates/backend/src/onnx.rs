@@ -12,16 +12,16 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_exec::{score_auto_batch, score_stream, ExecPool, FlatImage, RunConfig};
+use mlscore_data::TabularFrame;
+use mlscore_exec::{score_auto_batch, ExecPool, FlatImage, RunConfig};
 use mlscore_forest::{ModelStats, Predictions, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
-use crate::artifact::{CompiledModel, Lowered};
+use crate::artifact::Lowered;
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
-use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
+use crate::traits::ScoringBackend;
 
 /// Timing-model constants for the ONNX-like engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,31 +147,14 @@ impl ScoringBackend for OnnxCpu {
         &self.name
     }
 
-    // Lowering encodes the trees into the heap image once; the untraced
-    // and traced score paths both consume it (the seed built the image
-    // separately in each, doubling the compile on traced runs).
+    // Lowering encodes the trees into the heap image once; every scoring
+    // call consumes it.
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
         let image = FlatImage::from_forest(forest, forest.max_depth())?;
         Ok(Lowered::Flat(Arc::new(image)))
     }
 
     fn score_lowered(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let image = self.image_of(lowered)?;
-        let (preds, _, _) = score_auto_batch(
-            image,
-            frame,
-            ExecPool::global(),
-            &self.run_config(forest.n_trees()),
-        );
-        Ok(preds)
-    }
-
-    fn score_lowered_traced(
         &self,
         forest: &RandomForest,
         lowered: &Lowered,
@@ -188,37 +171,6 @@ impl ScoringBackend for OnnxCpu {
         );
         report.record_spans(tracer, start, self.name());
         Ok(preds)
-    }
-
-    // The fused path scores straight off the scanner: each pulled chunk
-    // goes to the SIMD walker, with no whole-batch materialization in
-    // between.
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
-    ) -> Result<StreamOutcome, BackendError> {
-        model.ensure_scorable(self.name(), stream.n_features())?;
-        let image = self.image_of(model.lowered())?;
-        let (predictions, report) = score_stream(
-            image,
-            stream,
-            ExecPool::global(),
-            &self.run_config(model.stats().n_trees),
-        );
-        Ok(StreamOutcome {
-            predictions,
-            rows: report.rows(),
-            chunks: report
-                .chunk_rows()
-                .iter()
-                .map(|&rows| StreamChunk { rows })
-                .collect(),
-        })
-    }
-
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
     }
 
     fn estimate_traced(
@@ -308,24 +260,6 @@ mod tests {
         let req = ScoringRequest::new(&forest, &frame).unwrap();
         let preds = OnnxCpu::single_thread().score(&req).unwrap();
         assert_eq!(preds, forest.predict_batch(frame.as_slice()));
-    }
-
-    #[test]
-    fn stream_scoring_matches_prepared() {
-        use mlscore_data::FrameScanner;
-        use mlscore_forest::ModelBundle;
-        let (forest, data) = higgs_setup();
-        let bundle = ModelBundle::serialize(&forest);
-        let backend = OnnxCpu::with_threads(4);
-        let model = crate::artifact::compile(&backend, &bundle).unwrap();
-        let want = backend.score_prepared(&model, data.frame()).unwrap();
-        for chunk_rows in [1, 7, 64] {
-            let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
-            let out = backend.score_prepared_stream(&model, &mut scanner).unwrap();
-            assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
-            assert_eq!(out.rows, data.frame().n_rows());
-            assert_eq!(out.chunks.len(), data.frame().n_rows().div_ceil(chunk_rows));
-        }
     }
 
     #[test]

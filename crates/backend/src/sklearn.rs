@@ -11,16 +11,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_data::{RecordStream, TabularFrame};
+use mlscore_data::TabularFrame;
 use mlscore_exec::{kernel, ExecPool, RunConfig};
 use mlscore_forest::{ModelStats, Predictions, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
-use crate::artifact::{CompiledModel, Lowered};
+use crate::artifact::Lowered;
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
-use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
+use crate::traits::ScoringBackend;
 
 /// Timing-model constants for the sklearn-like engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -133,18 +133,6 @@ impl ScoringBackend for SklearnCpu {
         forest: &RandomForest,
         lowered: &Lowered,
         frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let _ = lowered;
-        let (preds, _) =
-            kernel::score_forest_batch(forest, frame, ExecPool::global(), &self.run_config());
-        Ok(preds)
-    }
-
-    fn score_lowered_traced(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
         tracer: &Tracer,
         start: SimInstant,
     ) -> Result<Predictions, BackendError> {
@@ -153,49 +141,6 @@ impl ScoringBackend for SklearnCpu {
             kernel::score_forest_batch(forest, frame, ExecPool::global(), &self.run_config());
         report.record_spans(tracer, start, self.name());
         Ok(preds)
-    }
-
-    // The fused path walks the pointer trees one chunk at a time, folding
-    // per-chunk predictions in pull order — bit-exact with the whole-frame
-    // batch kernel since every record is fully scored within one chunk.
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
-    ) -> Result<StreamOutcome, BackendError> {
-        model.ensure_scorable(self.name(), stream.n_features())?;
-        let forest = model.forest();
-        let cfg = self.run_config();
-        let mut chunks = Vec::new();
-        let mut rows = 0;
-        let mut out: Option<Predictions> = None;
-        while let Some(chunk) = stream.next_chunk() {
-            if chunk.is_empty() {
-                continue;
-            }
-            let (preds, _) = kernel::score_forest_batch(forest, chunk, ExecPool::global(), &cfg);
-            rows += chunk.n_rows();
-            chunks.push(StreamChunk {
-                rows: chunk.n_rows(),
-            });
-            match &mut out {
-                None => out = Some(preds),
-                Some(acc) => acc.append(&preds),
-            }
-        }
-        let predictions = out.unwrap_or_else(|| {
-            let empty = TabularFrame::with_capacity(0, model.stats().n_features);
-            kernel::score_forest_batch(forest, &empty, ExecPool::global(), &cfg).0
-        });
-        Ok(StreamOutcome {
-            predictions,
-            rows,
-            chunks,
-        })
-    }
-
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
     }
 
     fn estimate_traced(
@@ -295,23 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_scoring_matches_prepared() {
-        use mlscore_data::FrameScanner;
-        use mlscore_forest::ModelBundle;
-        let (forest, data) = iris_setup();
-        let bundle = ModelBundle::serialize(&forest);
-        let backend = SklearnCpu::with_threads(4);
-        let model = crate::artifact::compile(&backend, &bundle).unwrap();
-        let want = backend.score_prepared(&model, data.frame()).unwrap();
-        for chunk_rows in [1, 13, 512] {
-            let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
-            let out = backend.score_prepared_stream(&model, &mut scanner).unwrap();
-            assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
-            assert_eq!(out.rows, data.frame().n_rows());
-        }
-    }
-
-    #[test]
     fn estimate_has_call_overhead_floor() {
         let (forest, _) = iris_setup();
         let stats = ModelStats::of(&forest);
@@ -367,22 +295,30 @@ mod tests {
     }
 
     #[test]
-    fn score_traced_records_worker_detail_spans() {
+    fn score_lowered_records_worker_detail_spans() {
+        use crate::onnx::OnnxCpu;
         use mlscore_sim::SimInstant;
         use mlscore_telemetry::{Scope, Tracer};
         let (forest, data) = iris_setup();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let backend = SklearnCpu::with_threads(4);
-        let tracer = Tracer::new();
-        let preds = backend
-            .score_traced(&req, &tracer, SimInstant::ZERO)
-            .unwrap();
-        assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
-        let trace = tracer.take();
-        assert!(!trace.is_empty(), "expected worker spans");
-        assert!(trace.events().iter().all(|e| e.scope == Scope::Detail));
-        // Detail spans never perturb the modelled breakdown folds.
-        assert!(trace.breakdown(Scope::Offload).total().as_secs() == 0.0);
+        let backends: [&dyn ScoringBackend; 2] =
+            [&SklearnCpu::with_threads(4), &OnnxCpu::with_threads(4)];
+        for backend in backends {
+            let lowered = backend.lower(&forest).unwrap();
+            let tracer = Tracer::new();
+            let preds = backend
+                .score_lowered(&forest, &lowered, data.frame(), &tracer, SimInstant::ZERO)
+                .unwrap();
+            assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
+            let trace = tracer.take();
+            assert!(
+                !trace.is_empty(),
+                "{}: expected worker spans",
+                backend.name()
+            );
+            assert!(trace.events().iter().all(|e| e.scope == Scope::Detail));
+            // Detail spans never perturb the modelled breakdown folds.
+            assert!(trace.breakdown(Scope::Offload).total().as_secs() == 0.0);
+        }
     }
 
     #[test]

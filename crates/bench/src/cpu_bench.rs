@@ -37,7 +37,7 @@ use mlscore_exec::{
 use mlscore_forest::{ForestConfig, ModelBundle, Predictions, RandomForest, Task};
 use mlscore_pipeline::QueryPipeline;
 use mlscore_sim::Stage;
-use mlscore_telemetry::json::{self, write_escaped, JsonValue};
+use mlscore_telemetry::json::{self, write_escaped, write_num, JsonValue};
 
 /// Tree depth used throughout the sweep (the paper's evaluation depth).
 pub const SWEEP_DEPTH: usize = 10;
@@ -539,26 +539,6 @@ pub fn run(opts: &BenchOptions) -> Vec<CaseResult> {
     cases
 }
 
-/// Pushes `v` as a JSON number with enough precision for throughputs.
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Pushes `v` as a JSON number with sub-microsecond precision — the fused
-/// handoff taxes are hundreds of microseconds, which `push_num`'s
-/// millisecond precision would round to zero.
-fn push_secs(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.9}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Serializes sweep results to the `BENCH_cpu_scoring.json` document.
 ///
 /// The output is validated with [`validate`] before being returned.
@@ -603,13 +583,13 @@ pub fn to_json(
         cache.trees, cache.depth, cache.records
     ));
     out.push_str("            \"cold_total_secs\": ");
-    push_num(&mut out, cache.cold_total_secs);
+    write_num(&mut out, cache.cold_total_secs, 3);
     out.push_str(", \"warm_total_secs\": ");
-    push_num(&mut out, cache.warm_total_secs);
+    write_num(&mut out, cache.warm_total_secs, 3);
     out.push_str(", \"warm_speedup\": ");
-    push_num(&mut out, cache.warm_speedup());
+    write_num(&mut out, cache.warm_speedup(), 3);
     out.push_str(", \"compile_ms\": ");
-    push_num(&mut out, cache.compile_ms);
+    write_num(&mut out, cache.compile_ms, 3);
     out.push_str(&format!(
         ", \"hits\": {}, \"misses\": {}}},\n",
         cache.hits, cache.misses
@@ -626,15 +606,15 @@ pub fn to_json(
              \"chunk_rows\": {}, \"n_chunks\": {},\n     \"staged_tax_secs\": ",
             cell.trees, cell.depth, cell.records, cell.chunk_rows, cell.n_chunks
         ));
-        push_secs(&mut out, cell.staged_tax_secs);
+        write_num(&mut out, cell.staged_tax_secs, 9);
         out.push_str(", \"fused_tax_secs\": ");
-        push_secs(&mut out, cell.fused_tax_secs);
+        write_num(&mut out, cell.fused_tax_secs, 9);
         out.push_str(", \"eliminated_frac\": ");
-        push_secs(&mut out, cell.eliminated_frac);
+        write_num(&mut out, cell.eliminated_frac, 9);
         out.push_str(",\n     \"staged_wall_secs\": ");
-        push_secs(&mut out, cell.staged_wall_secs);
+        write_num(&mut out, cell.staged_wall_secs, 9);
         out.push_str(", \"fused_wall_secs\": ");
-        push_secs(&mut out, cell.fused_wall_secs);
+        write_num(&mut out, cell.fused_wall_secs, 9);
         out.push_str(&format!(", \"bit_exact\": {}}}", cell.bit_exact));
     }
     out.push_str("\n  ]},\n");
@@ -649,7 +629,7 @@ pub fn to_json(
             ", \"trees\": {}, \"depth\": {}, \"records\": {},\n     \"naive_records_per_sec\": ",
             case.trees, case.depth, case.records
         ));
-        push_num(&mut out, case.naive_rps);
+        write_num(&mut out, case.naive_rps, 3);
         out.push_str(",\n     \"runs\": [");
         for (j, run) in case.runs.iter().enumerate() {
             if j > 0 {
@@ -657,11 +637,11 @@ pub fn to_json(
             }
             out.push_str(&format!("\n       {{\"threads\": {}, ", run.threads));
             out.push_str("\"forest_records_per_sec\": ");
-            push_num(&mut out, run.forest_rps);
+            write_num(&mut out, run.forest_rps, 3);
             out.push_str(", \"simd_records_per_sec\": ");
-            push_num(&mut out, run.simd_rps);
+            write_num(&mut out, run.simd_rps, 3);
             out.push_str(", \"speedup_vs_naive\": ");
-            push_num(&mut out, run.speedup);
+            write_num(&mut out, run.speedup, 3);
             out.push_str(&format!(", \"bit_exact\": {}}}", run.bit_exact));
         }
         out.push_str("\n     ]}");

@@ -21,7 +21,7 @@ use mlscore_serve::{
     ServeEngine, ServingReport, WorkloadSpec,
 };
 use mlscore_sim::SimDuration;
-use mlscore_telemetry::json::{self, write_escaped, JsonValue};
+use mlscore_telemetry::json::{self, write_escaped, write_num, JsonValue};
 use mlscore_telemetry::Tracer;
 
 /// Workload seed shared by every experiment in the report.
@@ -296,22 +296,12 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
     }
 }
 
-/// Pushes `v` as a JSON number with fixed precision (keeps the file
-/// byte-stable across runs).
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_metrics(out: &mut String, indent: &str, m: &PointMetrics) {
     out.push_str("{\n");
     let field = |out: &mut String, key: &str, v: f64, last: bool| {
         out.push_str(indent);
         out.push_str(&format!("  \"{key}\": "));
-        push_num(out, v);
+        write_num(out, v, 3);
         out.push_str(if last { "\n" } else { ",\n" });
     };
     field(out, "throughput_qps", m.throughput_qps, false);
@@ -342,7 +332,7 @@ fn push_metrics(out: &mut String, indent: &str, m: &PointMetrics) {
         }
         write_escaped(out, name);
         out.push_str(": ");
-        push_num(out, *u);
+        write_num(out, *u, 3);
     }
     out.push_str("}\n");
     out.push_str(indent);
@@ -387,7 +377,7 @@ pub fn to_json(
             out.push(',');
         }
         out.push_str("\n    {\"rate_qps\": ");
-        push_num(&mut out, point.rate_qps);
+        write_num(&mut out, point.rate_qps, 3);
         out.push_str(",\n     \"coalesce_on\": ");
         push_metrics(&mut out, "     ", &point.on);
         out.push_str(",\n     \"coalesce_off\": ");
@@ -397,7 +387,7 @@ pub fn to_json(
     out.push_str("\n  ],\n");
     let fo = &report.fpga_overload;
     out.push_str("  \"fpga_overload\": {\n    \"rate_qps\": ");
-    push_num(&mut out, fo.rate_qps);
+    write_num(&mut out, fo.rate_qps, 3);
     out.push_str(&format!(",\n    \"queries\": {},", fo.queries));
     out.push_str("\n    \"coalesce_on\": ");
     push_metrics(&mut out, "    ", &fo.on);

@@ -145,11 +145,6 @@ impl FlatImage {
             task: forest.task(),
         })
     }
-
-    /// Number of features the model expects.
-    pub(crate) fn n_features(&self) -> usize {
-        self.n_features
-    }
 }
 
 impl std::fmt::Debug for FlatImage {

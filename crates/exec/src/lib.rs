@@ -14,8 +14,10 @@
 //!   into a [`FlatImage`], an implicit-heap image with no child pointers,
 //!   and an explicit-SIMD lane walker scores it at the host's
 //!   [`SimdLevel`]. Rows past the last full lane group take a one-lane
-//!   step over the same image. [`score_auto_batch`] and [`score_stream`]
-//!   run it at the detected tier.
+//!   step over the same image. [`score_auto_batch`] runs it at the
+//!   detected tier, for a whole frame or for one chunk of the fused path
+//!   (the chunk loop itself is `ScoringBackend::score_prepared_stream`'s,
+//!   in `mlscore-backend`).
 //!
 //! Both keep per-thread reusable vote scratch and are bit-exact against
 //! the sequential `predict_one` / Fig. 4b `FlatForest::score_one` paths: vote
@@ -49,7 +51,6 @@ pub mod kernel;
 pub mod kernel_simd;
 pub mod pool;
 pub mod report;
-pub mod stream;
 
 pub use kernel::score_forest_batch;
 pub use kernel_simd::{
@@ -57,4 +58,3 @@ pub use kernel_simd::{
 };
 pub use pool::{ExecPool, RunConfig};
 pub use report::{RunReport, WorkerReport};
-pub use stream::{score_stream, StreamReport};

@@ -92,6 +92,8 @@ impl ScoringBackend for FpgaBackend {
         forest: &RandomForest,
         lowered: &Lowered,
         frame: &TabularFrame,
+        _tracer: &Tracer,
+        _start: SimInstant,
     ) -> Result<Predictions, BackendError> {
         let _ = forest;
         let model = match lowered {
@@ -107,10 +109,6 @@ impl ScoringBackend for FpgaBackend {
         };
         let run = self.engine.execute(model, frame.as_slice());
         Ok(run.predictions)
-    }
-
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
     }
 
     fn estimate_traced(

@@ -125,6 +125,8 @@ impl ScoringBackend for RapidsFil {
         forest: &RandomForest,
         lowered: &Lowered,
         frame: &TabularFrame,
+        _tracer: &Tracer,
+        _start: SimInstant,
     ) -> Result<Predictions, BackendError> {
         self.check_supported(forest.task())?;
         let flat = match lowered {
@@ -152,10 +154,6 @@ impl ScoringBackend for RapidsFil {
             classes.push(flat.score_one_with(&row, &mut votes) as u32);
         }
         Ok(Predictions::Classes(classes))
-    }
-
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
     }
 
     fn estimate_traced(

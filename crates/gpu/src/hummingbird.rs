@@ -216,6 +216,8 @@ impl ScoringBackend for HummingbirdGpu {
         forest: &RandomForest,
         lowered: &Lowered,
         frame: &TabularFrame,
+        _tracer: &Tracer,
+        _start: SimInstant,
     ) -> Result<Predictions, BackendError> {
         let tensors = match lowered {
             Lowered::Custom(any) => any.downcast_ref::<HbTensors>().ok_or_else(|| {
@@ -258,10 +260,6 @@ impl ScoringBackend for HummingbirdGpu {
                 Ok(Predictions::Values(values))
             }
         }
-    }
-
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
     }
 
     fn estimate_traced(

@@ -191,9 +191,11 @@ mod tests {
     // depend on the fpga crate (integration tests cover the real one):
     // fixed 2 ms overhead + 10 ns/record of device time.
     mod mlscore_fpga_shim {
-        use mlscore_backend::{BackendError, ScoringBackend, ScoringRequest};
-        use mlscore_forest::{ModelStats, Predictions};
-        use mlscore_sim::{SimDuration, Stage, TimingBreakdown};
+        use mlscore_backend::{BackendError, Lowered, ScoringBackend};
+        use mlscore_data::TabularFrame;
+        use mlscore_forest::{ModelStats, Predictions, RandomForest};
+        use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
+        use mlscore_telemetry::Tracer;
 
         pub struct Fpga;
 
@@ -201,10 +203,23 @@ mod tests {
             fn name(&self) -> &str {
                 "accel-shim"
             }
-            fn score(&self, req: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-                Ok(req.forest().predict_batch(req.frame().as_slice()))
+            fn score_lowered(
+                &self,
+                forest: &RandomForest,
+                _lowered: &Lowered,
+                frame: &TabularFrame,
+                _tracer: &Tracer,
+                _start: SimInstant,
+            ) -> Result<Predictions, BackendError> {
+                Ok(forest.predict_batch(frame.as_slice()))
             }
-            fn estimate(&self, _stats: &ModelStats, n_records: u64) -> TimingBreakdown {
+            fn estimate_traced(
+                &self,
+                _stats: &ModelStats,
+                n_records: u64,
+                _tracer: &Tracer,
+                _start: SimInstant,
+            ) -> TimingBreakdown {
                 let mut b = TimingBreakdown::new();
                 b.add(Stage::SoftwareOverhead, SimDuration::from_millis(2.0));
                 b.add(

@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use mlscore_backend::{
-    ArtifactCache, BackendError, CacheOutcome, PrepareTiming, ScoringBackend, StreamChunk,
+    ArtifactCache, BackendError, CacheOutcome, CompiledModel, PrepareTiming, ScoringBackend,
+    StreamChunk,
 };
 use mlscore_data::{RecordStream, TabularFrame};
 use mlscore_forest::{ModelBundle, ModelStats, Predictions};
@@ -118,18 +119,7 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         tracer: &Tracer,
         start: SimInstant,
     ) -> Result<QueryRun, PipelineError> {
-        // Phase 1 — compile (or fetch): deserialize + supports + lower,
-        // skipped entirely on an artifact-cache hit.
-        let (model, outcome, timing) = match &self.cache {
-            Some(cache) => cache
-                .get_or_prepare_timed(&self.backend, bundle)
-                .map_err(lift)?,
-            None => {
-                let (model, timing) =
-                    mlscore_backend::compile_timed(&self.backend, bundle).map_err(lift)?;
-                (model, CacheOutcome::Bypass, timing)
-            }
-        };
+        let (model, outcome, timing) = self.compile_or_fetch(bundle)?;
         let stats = *model.stats();
         let model_bytes = model.model_bytes() as u64;
         let n_records = frame.n_rows() as u64;
@@ -139,12 +129,17 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         // occupancy is recorded as Detail spans anchored at the scoring
         // span's simulated start, so the Perfetto view shows measured pool
         // activity under the modelled timeline.
-        let predictions = self
-            .backend
-            .score_prepared_traced(&model, frame, tracer, t_scoring)?;
+        model.ensure_scorable(self.backend.name(), frame.n_features())?;
+        let predictions = self.backend.score_lowered(
+            model.forest(),
+            model.lowered(),
+            frame,
+            tracer,
+            t_scoring,
+        )?;
         let scoring_breakdown = self
             .backend
-            .estimate_prepared_traced(&model, n_records, tracer, t_scoring);
+            .estimate_traced(&stats, n_records, tracer, t_scoring);
         let breakdown =
             self.assemble_sized(&stats, model_bytes, n_records, &scoring_breakdown, warm);
         if tracer.is_enabled() {
@@ -276,26 +271,16 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         tracer: &Tracer,
         start: SimInstant,
     ) -> Result<QueryRun, PipelineError> {
-        // Phase 1 — compile (or fetch), exactly as on the staged path.
-        let (model, outcome, timing) = match &self.cache {
-            Some(cache) => cache
-                .get_or_prepare_timed(&self.backend, bundle)
-                .map_err(lift)?,
-            None => {
-                let (model, timing) =
-                    mlscore_backend::compile_timed(&self.backend, bundle).map_err(lift)?;
-                (model, CacheOutcome::Bypass, timing)
-            }
-        };
+        let (model, outcome, timing) = self.compile_or_fetch(bundle)?;
         let warm = outcome == CacheOutcome::Hit;
         let model_bytes = model.model_bytes() as u64;
         // Phase 2 — drain the stream through the backend's chunked scorer.
         let out = self.backend.score_prepared_stream(&model, stream)?;
         let n_records = out.rows as u64;
         let t_scoring = self.fused_scoring_start(start, out.chunks.len(), model_bytes, warm);
-        let scoring_breakdown = self
-            .backend
-            .estimate_prepared_traced(&model, n_records, tracer, t_scoring);
+        let scoring_breakdown =
+            self.backend
+                .estimate_traced(model.stats(), n_records, tracer, t_scoring);
         let breakdown = self.assemble_fused(
             model_bytes,
             n_records,
@@ -477,6 +462,25 @@ impl<B: ScoringBackend> QueryPipeline<B> {
             self.record_query_spans(tracer, start, stats, model_bytes, n_records, &scoring, warm);
         }
         b
+    }
+
+    /// Phase 1 of every execution — compile (or fetch): deserialize +
+    /// supports + lower, skipped entirely on an artifact-cache hit. Without
+    /// a cache the pass runs inline and reports [`CacheOutcome::Bypass`].
+    fn compile_or_fetch(
+        &self,
+        bundle: &ModelBundle,
+    ) -> Result<(Arc<CompiledModel>, CacheOutcome, PrepareTiming), PipelineError> {
+        match &self.cache {
+            Some(cache) => cache
+                .get_or_prepare_timed(&self.backend, bundle)
+                .map_err(lift),
+            None => {
+                let (model, timing) =
+                    mlscore_backend::compile_timed(&self.backend, bundle).map_err(lift)?;
+                Ok((model, CacheOutcome::Bypass, timing))
+            }
+        }
     }
 
     /// The simulated instant at which the backend scoring call begins:

@@ -1,9 +1,10 @@
-//! A minimal JSON value model, writer escaping, and recursive-descent
+//! A minimal JSON value model, writer helpers, and recursive-descent
 //! parser.
 //!
-//! The workspace vendors no JSON crate, so the Perfetto exporter writes
-//! JSON by hand and this module provides the small amount of shared
-//! machinery: string escaping for the writer, and a parser used by tests
+//! The workspace vendors no JSON crate, so the Perfetto exporter and the
+//! `BENCH_*.json` writers write JSON by hand and this module provides the
+//! small amount of shared machinery: string escaping and fixed-precision
+//! numbers for the writers, and a parser used by tests
 //! (and the `repro` CLI) to validate that exported traces are well-formed.
 //! It handles the full JSON grammar except exotic number formats beyond
 //! `f64`.
@@ -96,6 +97,17 @@ pub fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `v` to `out` as a JSON number with `decimals` fixed fractional
+/// digits, or `null` when `v` is NaN or infinite (JSON has no number for
+/// either).
+pub fn write_num(out: &mut String, v: f64, decimals: usize) {
+    if v.is_finite() {
+        out.push_str(&format!("{v:.decimals$}"));
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Parses a complete JSON document.
@@ -315,6 +327,18 @@ mod tests {
         write_escaped(&mut doc, nasty);
         let v = parse(&doc).unwrap();
         assert_eq!(v.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn numbers_are_fixed_precision_and_non_finite_is_null() {
+        let mut doc = String::new();
+        for v in [1.5, 2.0 / 3.0, -0.25, f64::NAN, f64::INFINITY] {
+            write_num(&mut doc, v, 3);
+            doc.push(' ');
+        }
+        write_num(&mut doc, 4.2e-4, 9);
+        assert_eq!(doc, "1.500 0.667 -0.250 null null 0.000420000");
+        assert_eq!(parse("0.667").unwrap().as_f64(), Some(0.667));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use mlscore::backend::{compile, OnnxCpu, SklearnCpu};
-use mlscore::forest::ModelBundle;
+use mlscore::forest::{ModelBundle, Predictions};
 use mlscore::prelude::*;
 use mlscore::sched::paper_backends;
 
@@ -82,9 +82,9 @@ proptest! {
     }
 }
 
-/// Every paper backend — including the offload devices that take the
-/// default materialize-and-delegate stream path — honours the fused
-/// bit-exactness contract at every chunk size.
+/// Every paper backend — CPU engines and offload devices alike, all
+/// through the trait's one chunk loop — honours the fused bit-exactness
+/// contract at every chunk size, and on a zero-row input.
 #[test]
 fn fused_matches_staged_on_every_paper_backend() {
     let raw = Dataset::higgs(700, 11);
@@ -118,5 +118,18 @@ fn fused_matches_staged_on_every_paper_backend() {
                 frame.n_rows()
             );
         }
+        // A zero-row input pulls no chunk and still yields the staged
+        // result: empty, and of the task's kind.
+        let empty = TabularFrame::from_rows(vec![], frame.n_features()).expect("empty frame");
+        let staged = backend
+            .score_prepared(&model, &empty)
+            .expect("staged scoring");
+        assert_eq!(staged, Predictions::Classes(vec![]));
+        let out = backend
+            .score_prepared_stream(&model, &mut FrameScanner::new(&empty, 64))
+            .expect("fused scoring");
+        assert_eq!(out.predictions, staged, "{}", backend.name());
+        assert_eq!(out.rows, 0);
+        assert!(out.chunks.is_empty());
     }
 }
